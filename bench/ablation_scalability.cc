@@ -9,9 +9,10 @@
 //
 // The second table ablates the *simulator's* execution engine on one fixed
 // workload: fiber engine (legacy ucontext vs the hand-rolled fast switch),
-// traced vs functional fast path, and worker count.  It shows where the
-// interpreter's wall time actually goes; the gated scalability curve with a
-// checked-in baseline lives in bench/rt_throughput (docs/performance.md).
+// traced (4 sampled blocks) vs untraced (sample_blocks = 0), and worker
+// count.  It shows where the interpreter's wall time actually goes; the gated
+// scalability curve with a checked-in baseline lives in bench/rt_throughput
+// (docs/performance.md).
 #include <chrono>
 #include <iostream>
 
@@ -29,7 +30,7 @@ using namespace g80::apps;
 namespace {
 
 // Wall time of one interpreted matmul launch under the given engine knobs.
-double interp_seconds(int n, bool fast_path, int workers,
+double interp_seconds(int n, int sample_blocks, int workers,
                       Fiber::Backend backend) {
   Device dev;
   auto a = dev.alloc<float>(static_cast<std::size_t>(n) * n);
@@ -42,7 +43,7 @@ double interp_seconds(int n, bool fast_path, int workers,
   const int tile = 16;
   LaunchOptions opt;
   opt.regs_per_thread = 9;
-  opt.fast_path = fast_path;
+  opt.sample_blocks = sample_blocks;
   opt.fiber_backend = backend;
   WorkerPool pool(workers);
   if (workers > 1) opt.pool = &pool;
@@ -90,28 +91,25 @@ int main() {
             << " tiled matmul launch, host wall time\n\n";
   struct Config {
     const char* name;
-    bool fast_path;
+    int sample_blocks;
     int workers;
     Fiber::Backend backend;
   };
   const Config configs[] = {
-      {"ucontext fibers, traced, 1 worker", false, 1,
-       Fiber::Backend::kUcontext},
-      {"fast fibers,     traced, 1 worker", false, 1, Fiber::Backend::kFast},
-      {"fast fibers,     fast path, 1 worker", true, 1, Fiber::Backend::kFast},
-      {"fast fibers,     fast path, 2 workers", true, 2,
-       Fiber::Backend::kFast},
-      {"fast fibers,     fast path, 4 workers", true, 4,
-       Fiber::Backend::kFast},
+      {"ucontext fibers, traced,   1 worker", 4, 1, Fiber::Backend::kUcontext},
+      {"fast fibers,     traced,   1 worker", 4, 1, Fiber::Backend::kFast},
+      {"fast fibers,     untraced, 1 worker", 0, 1, Fiber::Backend::kFast},
+      {"fast fibers,     untraced, 2 workers", 0, 2, Fiber::Backend::kFast},
+      {"fast fibers,     untraced, 4 workers", 0, 4, Fiber::Backend::kFast},
   };
   TextTable it({"engine configuration", "wall ms", "vs ucontext"});
-  const double base = interp_seconds(in, false, 1, Fiber::Backend::kUcontext);
+  const double base = interp_seconds(in, 4, 1, Fiber::Backend::kUcontext);
   for (const auto& cfg : configs) {
     const double s =
-        cfg.backend == Fiber::Backend::kUcontext && !cfg.fast_path &&
+        cfg.backend == Fiber::Backend::kUcontext && cfg.sample_blocks == 4 &&
                 cfg.workers == 1
             ? base
-            : interp_seconds(in, cfg.fast_path, cfg.workers, cfg.backend);
+            : interp_seconds(in, cfg.sample_blocks, cfg.workers, cfg.backend);
     it.add_row({cfg.name, fixed(1e3 * s, 1), fixed(base / s, 2) + "x"});
   }
   it.print(std::cout);

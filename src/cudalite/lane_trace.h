@@ -14,7 +14,7 @@
 // (trace_arena.h), which reconstructs the warp-level instructions
 // positionally while recording, and the collector reads them off the
 // arena's SoA rows.  The AoS vectors remain the storage for the legacy
-// pipeline (G80_TRACE_BATCH=off, direct collect_block_trace callers) —
+// pipeline (ScopedTraceBatch(false), direct collect_block_trace callers) —
 // both produce bit-identical BlockTraces.  Everything else in LaneTrace
 // (op counts, flops, branches, syncs, site notes) is recorded per lane on
 // both paths.

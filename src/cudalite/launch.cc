@@ -8,14 +8,10 @@ namespace {
 // Thread-local so each g80rt stream thread (and the host thread) carries its
 // own default; a pool installed on one thread never leaks into another.
 thread_local WorkerPool* t_ambient_pool = nullptr;
-thread_local bool t_ambient_fast_path = false;
 }  // namespace
 
 WorkerPool* ambient_launch_pool() { return t_ambient_pool; }
 void set_ambient_launch_pool(WorkerPool* pool) { t_ambient_pool = pool; }
-
-bool ambient_fast_path() { return t_ambient_fast_path; }
-void set_ambient_fast_path(bool on) { t_ambient_fast_path = on; }
 
 }  // namespace g80
 

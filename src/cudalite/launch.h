@@ -103,26 +103,19 @@ struct LaunchOptions {
   // metadata).  The paper's kernels state these; our kernels carry the
   // paper's numbers where given and plausible estimates otherwise.
   int regs_per_thread = 10;
-  // Number of blocks to trace for the timing model.
+  // Number of blocks to trace for the timing model.  0 traces nothing: the
+  // launch runs configuration validation, the functional pass and occupancy
+  // (from the functional pass's shared-memory footprint) only, and
+  // stats.trace / stats.timing stay empty.  Kernel outputs are bit-identical
+  // either way — tracing never touches results by construction.  An armed
+  // g80resil modeled watchdog (resilience.modeled_timeout_s > 0) raises the
+  // count to 1 so it still sees a modeled time.
   int sample_blocks = 4;
   // Run the functional pass over the full grid.
   bool functional = true;
   // Kernel calls __syncthreads.  Setting this false enables a much faster
   // fiber-less execution path; a kernel that then syncs anyway throws.
   bool uses_sync = true;
-  // Functional fast path: skip the trace pass, timing model, and all
-  // trace/stat bookkeeping, running only configuration validation, the
-  // functional pass, and occupancy (from the functional pass's shared-memory
-  // footprint).  Kernel outputs are bit-identical to the traced path —
-  // tracing never touches results by construction — but stats.trace and
-  // stats.timing stay empty, so the fast path is IGNORED while a profiler,
-  // scope session, or sanitizer is attached (those need the instrumented
-  // passes; tests/exec_fastpath_test.cc asserts the rejection).  When the
-  // g80resil modeled watchdog is armed (resilience.modeled_timeout_s > 0) a
-  // minimal 1-block trace sample is retained so the watchdog still sees a
-  // modeled time.  Auto-selected by g80resil at fallback level >= 2 and by
-  // g80serve for jobs requesting sample_blocks == 0.
-  bool fast_path = false;
   // Fiber stack size for kernel threads.
   std::size_t stack_bytes = 128 * 1024;
   // Fiber switch engine for this launch's BlockRunners: the hand-rolled
@@ -170,27 +163,6 @@ class ScopedLaunchPool {
 
  private:
   WorkerPool* prev_;
-};
-
-// Ambient fast-path default, consulted in addition to
-// LaunchOptions::fast_path (either one opts the launch in; observers still
-// override — see the field's comment).  Lets a whole workload (the §5
-// suite, a bench sweep) run result-only without threading options through
-// every launch call.  Thread-local, like the ambient pool.
-bool ambient_fast_path();
-void set_ambient_fast_path(bool on);
-
-class ScopedFastPath {
- public:
-  explicit ScopedFastPath(bool on = true) : prev_(ambient_fast_path()) {
-    set_ambient_fast_path(on);
-  }
-  ~ScopedFastPath() { set_ambient_fast_path(prev_); }
-  ScopedFastPath(const ScopedFastPath&) = delete;
-  ScopedFastPath& operator=(const ScopedFastPath&) = delete;
-
- private:
-  bool prev_;
 };
 
 struct LaunchStats {
@@ -294,10 +266,11 @@ namespace detail {
 //   level 0  exactly the configuration the caller asked for;
 //   level 1  block parallelism abandoned (sequential blocks on the caller,
 //            sidestepping a starved or wedged worker pool);
-//   level 2  additionally the functional fast path (LaunchOptions::fast_path
-//            semantics): no sanitize pass and no trace pass beyond the
-//            1-block sample the modeled watchdog needs, if armed — the
-//            minimum machinery that still yields correct kernel outputs.
+//   level 2  additionally no sanitize pass and a trace sample of at most
+//            one block: one when an observer (sanitizer, profiler, scope
+//            session) or the modeled watchdog needs a trace, none otherwise
+//            — the minimum machinery that still yields correct kernel
+//            outputs.
 // Kernel outputs are bit-identical across levels (block scheduling never
 // changes results — the seed invariant); only trace/timing fidelity and
 // validation coverage degrade.
@@ -358,22 +331,16 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
           : (opt.pool != nullptr ? opt.pool : ambient_launch_pool());
   const bool sanitize_enabled =
       att.fallback_level < 2 && opt.sanitize.enabled;
-  // Functional fast path: requested by the caller or escalated to by the
-  // degradation ladder, but only when no observer needs the instrumented
-  // passes — a profiler/scope/sanitizer silently falls back to the traced
-  // path rather than recording empty counters.
+  // The sample count alone decides what the launch traces.  Level 2 keeps
+  // one block for an attached observer and none otherwise; an armed modeled
+  // watchdog always keeps at least one, so it sees a modeled time.
   const bool observed = opt.sanitize.enabled || opt.prof.sink != nullptr ||
                         opt.scope.sink != nullptr;
-  const bool fast = (opt.fast_path || ambient_fast_path() ||
-                     att.fallback_level >= 2) &&
-                    !observed;
-  // Under the fast path, trace only what the modeled watchdog requires: one
-  // sample block when it is armed, none otherwise.
   const bool modeled_watchdog =
       opt.resilience.enabled && opt.resilience.modeled_timeout_s > 0;
-  const int sample_blocks =
-      fast ? (modeled_watchdog ? 1 : 0)
-           : (att.fallback_level >= 2 ? 1 : opt.sample_blocks);
+  int sample_blocks =
+      att.fallback_level >= 2 ? (observed ? 1 : 0) : opt.sample_blocks;
+  if (modeled_watchdog) sample_blocks = std::max(sample_blocks, 1);
   const CancelToken* cancel = att.cancel;
   const int slots =
       pool != nullptr && pool->width() > 1 ? pool->width() : 1;
@@ -411,8 +378,8 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       std::vector<BlockTrace> traces(samples.size());
       std::vector<std::vector<LaneTrace>> slot_lanes(
           static_cast<std::size_t>(slots));
-      // Batched recording (default; G80_TRACE_BATCH=off / ScopedTraceBatch
-      // forces the legacy per-lane pipeline): each slot owns a TraceArena
+      // Batched recording (default; ScopedTraceBatch(false) selects the
+      // legacy per-lane reference pipeline): each slot owns a TraceArena
       // whose SoA row capacity carries across the blocks it traces, so
       // steady-state recording allocates nothing.  Both pipelines produce
       // bit-identical BlockTraces (tests/trace_batch_test.cc).
@@ -457,7 +424,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       // clock: a launch whose modeled device time exceeds the budget is
       // rejected before the (expensive) sanitize and functional passes run.
       // This is deterministic — identical retries fail identically.
-      if (opt.resilience.enabled && opt.resilience.modeled_timeout_s > 0 &&
+      if (modeled_watchdog &&
           stats.timing.seconds > opt.resilience.modeled_timeout_s) {
         std::ostringstream os;
         os << "modeled kernel time " << stats.timing.seconds
@@ -519,7 +486,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
           cancel);
     }
 
-    // Sample-free fast path: no trace pass ran, so take the shared-memory
+    // Sample-free launch: no trace pass ran, so take the shared-memory
     // footprint from the functional pass (the static __shared__ layout is
     // identical in every pass) and fill in occupancy — the one model output
     // that needs no trace.  stats.trace/stats.timing stay empty by design.

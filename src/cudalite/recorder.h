@@ -9,10 +9,9 @@
 //    vectors and stream into the arena's per-(warp, space) SoA batches, and
 //    note_site replaces its linear scan with a last-site memo plus the
 //    arena's O(1) block-level intern table (trace_arena.h).  Without an
-//    arena (the G80_TRACE_BATCH=off escape hatch, or direct LaneRecorder
-//    construction) the original per-lane pipeline runs unchanged, byte for
-//    byte — it is the bit-identity reference tests/trace_batch_test.cc
-//    compares against.
+//    arena (ScopedTraceBatch(false), or direct LaneRecorder construction)
+//    the original per-lane pipeline runs unchanged, byte for byte — it is
+//    the bit-identity reference tests/trace_batch_test.cc compares against.
 #pragma once
 
 #include <cstdint>

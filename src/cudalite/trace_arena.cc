@@ -1,37 +1,15 @@
 #include "cudalite/trace_arena.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace g80 {
 
 namespace {
-
-int& ambient_trace_batch_slot() {
-  thread_local int mode = -1;  // -1: follow the environment
-  return mode;
-}
-
-bool env_trace_batch() {
-  // Queried per launch (not cached) so tests can flip the variable between
-  // launches in one process.
-  const char* e = std::getenv("G80_TRACE_BATCH");
-  if (e == nullptr) return true;
-  return std::strcmp(e, "off") != 0 && std::strcmp(e, "0") != 0;
-}
-
+thread_local bool t_trace_batch = true;
 }  // namespace
 
-bool trace_batch_enabled() {
-  const int mode = ambient_trace_batch_slot();
-  if (mode >= 0) return mode != 0;
-  return env_trace_batch();
-}
-
-void set_ambient_trace_batch(int mode) { ambient_trace_batch_slot() = mode; }
-
-int ambient_trace_batch() { return ambient_trace_batch_slot(); }
+bool trace_batch_enabled() { return t_trace_batch; }
+void set_trace_batch_enabled(bool on) { t_trace_batch = on; }
 
 // ---------------------------------------------------------------------------
 // SiteInterner

@@ -7,11 +7,11 @@
 // instructions with per-access hash-map lookups.  That re-grouping — not the
 // kernel body — dominates traced wall time.
 //
-// The arena removes both costs by exploiting the same structural fact PR 8's
-// warp-batched stepping exploits: the BlockRunner resumes the lanes of a warp
-// in thread-index order, and within a converged warp every lane executes the
-// same instruction sequence between barriers.  So instead of grouping after
-// the fact, the arena reconstructs each warp-level memory instruction
+// The arena removes both costs by exploiting one structural fact of the
+// BlockRunner's sweep: it resumes the lanes of a warp in thread-index order,
+// and within a converged warp every lane executes the same instruction
+// sequence between barriers.  So instead of grouping after the fact, the
+// arena reconstructs each warp-level memory instruction
 // *positionally while recording*:
 //
 //   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with
@@ -34,9 +34,8 @@
 // j-th access it is, the shared key prefix makes the legacy key
 // (site, occurrence-at-site) of position j identical across lanes, and
 // first-appearance order equals row order.  tests/trace_batch_test.cc and
-// invariant-fuzz property 6 pin the resulting bit-identity; the
-// G80_TRACE_BATCH=off escape hatch (or ScopedTraceBatch) forces the legacy
-// pipeline for A/B comparison.
+// invariant-fuzz property 6 pin the resulting bit-identity;
+// ScopedTraceBatch(false) selects the legacy pipeline for A/B comparison.
 #pragma once
 
 #include <array>
@@ -50,28 +49,27 @@
 namespace g80 {
 
 // ---------------------------------------------------------------------------
-// Batch gating: env default (G80_TRACE_BATCH=off|0 disables) overridable per
-// thread, the same ambient pattern as ScopedFastPath / ScopedLaunchPool.
+// Batch gating: a thread-local flag, on by default, the same ambient pattern
+// as ScopedLaunchPool.  Tests and benches turn it off to run the legacy
+// per-lane recorder, the bit-identity reference.
 // ---------------------------------------------------------------------------
 
-// Whether the next launch's trace pass should record through the arena.
-// Consults the thread-local override first, then the environment.
+// Whether the next launch's trace pass on this thread records through the
+// arena.
 bool trace_batch_enabled();
-// Thread-local override: 1 force-on, 0 force-off, -1 follow the environment.
-void set_ambient_trace_batch(int mode);
-int ambient_trace_batch();
+void set_trace_batch_enabled(bool on);
 
 class ScopedTraceBatch {
  public:
-  explicit ScopedTraceBatch(bool on) : prev_(ambient_trace_batch()) {
-    set_ambient_trace_batch(on ? 1 : 0);
+  explicit ScopedTraceBatch(bool on) : prev_(trace_batch_enabled()) {
+    set_trace_batch_enabled(on);
   }
-  ~ScopedTraceBatch() { set_ambient_trace_batch(prev_); }
+  ~ScopedTraceBatch() { set_trace_batch_enabled(prev_); }
   ScopedTraceBatch(const ScopedTraceBatch&) = delete;
   ScopedTraceBatch& operator=(const ScopedTraceBatch&) = delete;
 
  private:
-  int prev_;
+  bool prev_;
 };
 
 // ---------------------------------------------------------------------------

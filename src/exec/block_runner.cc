@@ -104,11 +104,6 @@ void BlockRunner::run(int num_threads, const std::function<void(int)>& body) {
     fibers_[t]->start(&BlockRunner::lane_entry, &lane_args_[t]);
   }
 
-  const int num_warps = (num_threads + kWarpSize - 1) / kWarpSize;
-  warp_live_.assign(num_warps, 0);
-  for (int w = 0; w < num_warps; ++w)
-    warp_live_[w] = std::min(kWarpSize, num_threads - w * kWarpSize);
-
   int live = num_threads;
   while (live > 0) {
     // Cancellation point (g80resil): the scheduler regains control between
@@ -116,43 +111,17 @@ void BlockRunner::run(int num_threads, const std::function<void(int)>& body) {
     // threads synchronize forever.  Suspended fibers are abandoned here and
     // re-armed from scratch on the next run().
     if (cancel_ != nullptr) cancel_->check("block barrier scheduler");
-    // One scheduling pass: advance every live thread to its next barrier or
-    // exit, one warp at a time.  Invariant at pass start: every live lane
-    // is kRunning (fresh arm, or the release below flipped it back).
-    for (int w = 0; w < num_warps; ++w) {
-      int& warp_live = warp_live_[w];
-      if (warp_live == 0) continue;
-      const int lane_begin = w * kWarpSize;
-      const int lane_end = std::min(num_threads, lane_begin + kWarpSize);
-      if (warp_live == lane_end - lane_begin) {
-        // Converged warp: all lanes live, all runnable by the invariant —
-        // one batched dispatch, no per-lane status reads.  Exit accounting
-        // for an attached observer happens inline, so observed runs (the
-        // sanitize pass, scope sessions) keep the batched sweep too; only
-        // divergent termination falls back below.
-        for (int t = lane_begin; t < lane_end; ++t) {
-          if (fibers_[t]->resume() == Fiber::State::kDone) {
-            status_[t] = ThreadStatus::kDone;
-            --warp_live;
-            --live;
-            if (observer_) exited_this_interval_.push_back(t);
-          }
-        }
-      } else {
-        // Divergent termination within the warp: step the surviving lanes
-        // individually, same thread-index order.
-        for (int t = lane_begin; t < lane_end; ++t) {
-          if (status_[t] != ThreadStatus::kRunning) continue;
-          const Fiber::State st = fibers_[t]->resume();
-          if (st == Fiber::State::kDone) {
-            status_[t] = ThreadStatus::kDone;
-            --warp_live;
-            --live;
-            if (observer_) exited_this_interval_.push_back(t);
-          }
-          // kSuspended means sync() parked it; status_ already kAtBarrier.
-        }
+    // One scheduling pass: advance every live thread, in thread-index order,
+    // to its next barrier or exit.  Invariant at pass start: every live
+    // thread is kRunning (fresh arm, or the release below flipped it back).
+    for (int t = 0; t < num_threads; ++t) {
+      if (status_[t] != ThreadStatus::kRunning) continue;
+      if (fibers_[t]->resume() == Fiber::State::kDone) {
+        status_[t] = ThreadStatus::kDone;
+        --live;
+        if (observer_) exited_this_interval_.push_back(t);
       }
+      // kSuspended means sync() parked it; status_ already kAtBarrier.
     }
     if (live == 0) break;
 

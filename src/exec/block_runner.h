@@ -8,13 +8,9 @@
 // barrier reached by a strict subset of threads undefined).  Deadlock is
 // impossible under this scheduler.
 //
-// The scheduling pass mirrors the paper's warp model (§3): lanes advance in
-// warp-sized groups, and a converged warp — all 32 lanes still live — is
-// stepped in one batched dispatch with no per-lane status checks (exit
-// accounting for an attached BarrierObserver happens inline, so observed
-// runs keep the batched sweep).  A warp falls back to per-lane stepping
-// once lanes exit at different trip counts (divergent termination).  Both
-// paths run lanes in the same thread-index order, so results are
+// Each scheduling pass is one sweep over the threads in thread-index order,
+// resuming every thread that is still running; threads that exited are
+// skipped.  Observed and unobserved runs take the same sweep, so results are
 // bit-identical by construction.
 //
 // That fixed order is also what makes batched trace recording possible: the
@@ -130,11 +126,6 @@ class BlockRunner {
  private:
   enum class ThreadStatus { kRunning, kAtBarrier, kDone };
 
-  // Simulated warp width: the scheduling pass advances lanes in warp-sized
-  // groups, and a warp whose lanes are all live is stepped in one batched
-  // sweep with no per-lane status bookkeeping (see run()).
-  static constexpr int kWarpSize = 32;
-
   // Raw fiber entry: `arg` is a LaneArg; calls (*runner->body_)(tid).  Using
   // a plain function pointer instead of a per-lane capturing lambda keeps
   // fiber arming allocation-free (the old path heap-allocated one
@@ -152,7 +143,6 @@ class BlockRunner {
   std::vector<SyncPoint> sync_points_;  // where each parked thread waits
   std::vector<int> exited_this_interval_;
   std::vector<LaneArg> lane_args_;      // stable per-lane entry arguments
-  std::vector<int> warp_live_;          // live (not yet exited) lanes per warp
   const std::function<void(int)>* body_ = nullptr;  // valid during run()
   SharedArena shared_;
   int barriers_executed_ = 0;

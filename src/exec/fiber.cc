@@ -1,9 +1,7 @@
 #include "exec/fiber.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "common/error.h"
 
@@ -117,17 +115,7 @@ inline void tsan_switch_to(void* fiber) {
 bool Fiber::fast_backend_supported() { return G80_FIBER_FAST != 0; }
 
 Fiber::Backend Fiber::default_backend() {
-#if G80_FIBER_FAST
-  // Escape hatch: G80_FIBER_BACKEND=ucontext forces the legacy engine
-  // process-wide (checked once; fibers are created on many threads).
-  static const bool force_ucontext = [] {
-    const char* env = std::getenv("G80_FIBER_BACKEND");
-    return env != nullptr && std::string_view(env) == "ucontext";
-  }();
-  return force_ucontext ? Backend::kUcontext : Backend::kFast;
-#else
-  return Backend::kUcontext;
-#endif
+  return G80_FIBER_FAST ? Backend::kFast : Backend::kUcontext;
 }
 
 Fiber::Fiber(std::size_t stack_bytes, Backend backend)

@@ -14,9 +14,8 @@
 //  - kUcontext: glibc swapcontext, which performs an rt_sigprocmask syscall
 //    per switch (~300 ns + syscall).  Required under ASan/TSan — the fast
 //    engine has no sanitizer fiber annotations — and on other architectures;
-//    also selectable at runtime (G80_FIBER_BACKEND=ucontext, or per launch
-//    via LaunchOptions::fiber_backend) as a debugging escape hatch and as
-//    the bench reference for the old interpreter's cost.
+//    also selectable per launch via LaunchOptions::fiber_backend, as the
+//    bench reference for the old interpreter's cost and for the fuzz tests.
 //
 // Both engines are bit-identical in observable behaviour (scheduling order,
 // exception propagation, barrier counts); tests/exec_fastpath_test.cc
@@ -41,8 +40,7 @@ class Fiber {
   // no ASan/TSan instrumentation).
   static bool fast_backend_supported();
 
-  // kFast when supported and not overridden by G80_FIBER_BACKEND=ucontext
-  // in the environment (checked once per process), else kUcontext.
+  // The build-time choice: kFast when supported, else kUcontext.
   static Backend default_backend();
 
   // Requests for kFast degrade silently to kUcontext when unsupported, so

@@ -15,7 +15,8 @@
 //     simulated clock;
 //   - transient failures (classify_fault) are retried up to `max_retries`
 //     times with exponential backoff, degrading gracefully through fallback
-//     levels (parallel pool -> sequential -> functional fast path);
+//     levels (parallel pool -> sequential -> sequential with no sanitize
+//     pass and at most one traced block);
 //   - every attempt is recorded in ResilienceStats, which rides on
 //     LaunchStats and flows into g80prof / g80scope provenance.
 //
@@ -30,9 +31,9 @@
 namespace g80 {
 
 // Highest graceful-degradation level (see AttemptConfig::fallback_level):
-// 0 = as requested, 1 = sequential blocks, 2 = sequential + the functional
-// fast path (sanitize pass skipped, no trace sample beyond the one block the
-// modeled watchdog needs if armed — LaunchOptions::fast_path semantics).
+// 0 = as requested, 1 = sequential blocks, 2 = sequential, sanitize pass
+// skipped, and a trace sample of one block when an observer or the modeled
+// watchdog needs it, none otherwise (see detail::launch_impl).
 inline constexpr int kMaxFallbackLevel = 2;
 
 struct ResiliencePolicy {

@@ -88,12 +88,6 @@ LaunchOptions options_from_config(const LaunchConfig& c) {
   opt.sample_blocks = c.sample_blocks;
   opt.functional = c.functional;
   opt.uses_sync = c.uses_sync;
-  // A job that requests zero trace samples wants results, not modeled
-  // timing: fill its cache misses through the functional fast path (skips
-  // trace/stat bookkeeping entirely — see LaunchOptions::fast_path).  The
-  // payload's stats JSON then carries zero timing, which is exactly what
-  // sample_blocks == 0 means; profile jobs force sample_blocks >= 1.
-  opt.fast_path = (c.sample_blocks == 0);
   return opt;
 }
 
@@ -239,8 +233,7 @@ std::string run_launch_payload(Device& dev, const JobRequest& req,
     opt.prof.sink = &profiler;
     opt.prof.kernel_name = req.kernel;
     // Counters are derived from trace samples, so a profile job that asked
-    // for zero samples still traces one block (an attached profiler already
-    // disables the fast path — see LaunchOptions::fast_path).
+    // for zero samples still traces one block.
     if (opt.sample_blocks < 1) opt.sample_blocks = 1;
   }
 

@@ -165,8 +165,8 @@ JobRequest parse_request(const JsonValue& doc) {
           static_cast<int>(require_int(*c, "regs_per_thread", 1, 256, 10));
     }
     if (c->get("sample_blocks") != nullptr) {
-      // 0 is a valid request: "no modeled timing" — the scheduler fills
-      // such jobs through the functional fast path (kernels.cc).
+      // 0 is a valid request: "no modeled timing" — the launch traces no
+      // block and runs only the functional pass (see LaunchOptions).
       req.config.sample_blocks =
           static_cast<int>(require_int(*c, "sample_blocks", 0, 1024, 4));
     }

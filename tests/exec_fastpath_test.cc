@@ -1,11 +1,12 @@
-// PR 8 execution-engine rework: the fast fiber switch engine, warp-batched
-// block scheduling, the functional fast path, and work-stealing dispatch.
+// Execution-engine throughput levers: the fast fiber switch engine, the
+// block scheduling sweep, sample-free (sample_blocks = 0) launches, and
+// work-stealing dispatch.
 //
-// The contract under test everywhere: none of these throughput levers may
-// change observable results.  Outputs are bit-identical to the traced
-// sequential path, traced stats are bit-identical across schedulers, and
-// the fast path is refused whenever an observer needs the instrumented
-// passes.
+// The contract under test everywhere: none of these levers may change
+// observable results.  Outputs are bit-identical to the traced sequential
+// path, traced stats are bit-identical across schedulers, and a launch
+// traces exactly the blocks its sample count, fallback level and modeled
+// watchdog call for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +25,6 @@
 #include "exec/block_runner.h"
 #include "exec/fiber.h"
 #include "exec/worker_pool.h"
-#include "prof/profiler.h"
-#include "scope/session.h"
 
 namespace g80 {
 namespace {
@@ -96,10 +95,10 @@ TEST(FiberBackend, UnsupportedFastRequestDegradesToUcontext) {
   }
 }
 
-// ---- Warp-batched scheduling vs per-lane fallback ------------------------------
+// ---- Block scheduling sweep ----------------------------------------------------
 
-// Observer that forces the per-lane scheduling path without changing any
-// semantics — the control for batched-vs-fallback comparisons.
+// Observer that changes no semantics — the control for observed-vs-unobserved
+// comparisons of the same sweep.
 class NoopObserver : public BarrierObserver {
  public:
   void on_barrier_release(const BarrierSnapshot& snap) override {
@@ -112,7 +111,7 @@ class NoopObserver : public BarrierObserver {
 
 // Each thread loops `trips(tid)` times, accumulating a value and hitting the
 // barrier once per trip; threads therefore exit at different generations,
-// exercising divergent-termination fallback inside warps.
+// so later sweeps skip exited threads inside partially live warps.
 void run_divergent_block(BlockRunner& r, int threads,
                          std::vector<int>& out, BarrierObserver* obs) {
   out.assign(threads, 0);
@@ -127,28 +126,28 @@ void run_divergent_block(BlockRunner& r, int threads,
   r.set_barrier_observer(nullptr);
 }
 
-TEST(WarpBatching, DivergentExitMatchesObservedPerLanePath) {
+TEST(BlockSweep, DivergentExitMatchesObservedRun) {
   for (Fiber::Backend backend : backends_under_test()) {
     for (int threads : {1, 31, 32, 33, 96, 256}) {
-      BlockRunner batched(threads, 16 * 1024, 64 * 1024, backend);
-      std::vector<int> fast_out;
-      run_divergent_block(batched, threads, fast_out, nullptr);
-      const int fast_barriers = batched.barriers_executed();
+      BlockRunner plain(threads, 16 * 1024, 64 * 1024, backend);
+      std::vector<int> plain_out;
+      run_divergent_block(plain, threads, plain_out, nullptr);
+      const int plain_barriers = plain.barriers_executed();
 
       BlockRunner observed(threads, 16 * 1024, 64 * 1024, backend);
-      std::vector<int> slow_out;
+      std::vector<int> observed_out;
       NoopObserver obs;
-      run_divergent_block(observed, threads, slow_out, &obs);
+      run_divergent_block(observed, threads, observed_out, &obs);
 
-      EXPECT_EQ(fast_out, slow_out) << threads << " threads";
-      EXPECT_EQ(fast_barriers, observed.barriers_executed())
+      EXPECT_EQ(plain_out, observed_out) << threads << " threads";
+      EXPECT_EQ(plain_barriers, observed.barriers_executed())
           << threads << " threads";
       EXPECT_EQ(obs.releases_, observed.barriers_executed());
     }
   }
 }
 
-TEST(WarpBatching, FullyConvergedWarpsKeepBarrierSemantics) {
+TEST(BlockSweep, FullyConvergedWarpsKeepBarrierSemantics) {
   const int threads = 64;
   BlockRunner r(threads, 16 * 1024);
   // Classic two-phase shared pattern: phase 2 must see every phase-1 write.
@@ -164,7 +163,7 @@ TEST(WarpBatching, FullyConvergedWarpsKeepBarrierSemantics) {
     EXPECT_EQ(seen[t], (t + 1) % threads + 1) << t;
 }
 
-// ---- Launch-level fast path ----------------------------------------------------
+// ---- Sample-free launches (sample_blocks = 0) ----------------------------------
 
 struct MatmulSetup {
   Device dev;
@@ -189,7 +188,7 @@ struct MatmulSetup {
   }
 };
 
-TEST(LaunchFastPath, BitIdenticalOutputsAndEmptyStats) {
+TEST(LaunchNoSamples, BitIdenticalOutputsAndEmptyStats) {
   const int n = 64, tile = 16;
   const auto wl = apps::MatmulWorkload::generate(n, 7);
 
@@ -202,129 +201,102 @@ TEST(LaunchFastPath, BitIdenticalOutputsAndEmptyStats) {
   EXPECT_GT(ts.trace.num_blocks, 0);
 
   for (int workers : {1, 2, 4}) {
-    MatmulSetup fast(wl, n, tile);
+    MatmulSetup untraced(wl, n, tile);
     WorkerPool pool(workers);
-    LaunchOptions fopt;
-    fopt.regs_per_thread = 9;
-    fopt.fast_path = true;
-    fopt.pool = workers > 1 ? &pool : nullptr;
-    const LaunchStats fs = fast.go(fopt);
-    const auto out = fast.c.copy_to_host();
+    LaunchOptions uopt;
+    uopt.regs_per_thread = 9;
+    uopt.sample_blocks = 0;
+    uopt.pool = workers > 1 ? &pool : nullptr;
+    const LaunchStats us = untraced.go(uopt);
+    const auto out = untraced.c.copy_to_host();
     ASSERT_EQ(out.size(), ref.size()) << workers << " workers";
     EXPECT_EQ(
         std::memcmp(out.data(), ref.data(), ref.size() * sizeof(float)), 0)
         << workers << " workers";
-    // The fast path skips trace/timing entirely...
-    EXPECT_EQ(fs.trace.num_blocks, 0) << workers;
-    EXPECT_EQ(fs.timing.seconds, 0.0) << workers;
+    // No sampled block means no trace and no modeled timing...
+    EXPECT_EQ(us.trace.num_blocks, 0) << workers;
+    EXPECT_EQ(us.timing.seconds, 0.0) << workers;
     // ...but occupancy and the shared-memory footprint still come out
-    // identical to the traced path (derived without a trace).
-    EXPECT_EQ(fs.smem_per_block, ts.smem_per_block) << workers;
-    EXPECT_EQ(fs.occupancy.blocks_per_sm, ts.occupancy.blocks_per_sm);
-    EXPECT_EQ(fs.occupancy.limiter, ts.occupancy.limiter);
+    // identical to the traced launch (derived without a trace).
+    EXPECT_EQ(us.smem_per_block, ts.smem_per_block) << workers;
+    EXPECT_EQ(us.occupancy.blocks_per_sm, ts.occupancy.blocks_per_sm);
+    EXPECT_EQ(us.occupancy.limiter, ts.occupancy.limiter);
   }
 }
 
-TEST(LaunchFastPath, AmbientFastPathEquivalentToOption) {
-  const int n = 32, tile = 16;
-  const auto wl = apps::MatmulWorkload::generate(n, 11);
-  MatmulSetup direct(wl, n, tile);
-  LaunchOptions dopt;
-  dopt.fast_path = true;
-  const LaunchStats ds = direct.go(dopt);
-  const auto ref = direct.c.copy_to_host();
-
-  MatmulSetup ambient(wl, n, tile);
-  LaunchStats as;
-  {
-    ScopedFastPath scoped;
-    as = ambient.go(LaunchOptions{});
-  }
-  const auto out = ambient.c.copy_to_host();
-  EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(as.trace.num_blocks, ds.trace.num_blocks);
-  EXPECT_EQ(as.timing.seconds, 0.0);
-  EXPECT_FALSE(ambient_fast_path()) << "scope must restore the previous value";
-}
-
-TEST(LaunchFastPath, RejectedWhileObserversAttached) {
-  const int n = 32, tile = 16;
-  const auto wl = apps::MatmulWorkload::generate(n, 3);
-
-  // Profiler attached: the traced passes must run (counters derive from
-  // them), so timing comes out non-zero despite fast_path.
-  {
-    MatmulSetup m(wl, n, tile);
-    prof::Profiler profiler;
-    LaunchOptions opt;
-    opt.fast_path = true;
-    opt.prof.sink = &profiler;
-    opt.prof.kernel_name = "mm";
-    const LaunchStats s = m.go(opt);
-    EXPECT_GT(s.timing.seconds, 0.0);
-    EXPECT_GT(s.trace.num_blocks, 0);
-    ASSERT_EQ(profiler.kernels().size(), 1u);
-    EXPECT_GT(profiler.kernels().front().launches, 0);
-  }
-  // Scope session attached: same rejection.
-  {
-    MatmulSetup m(wl, n, tile);
-    scope::Session session;
-    LaunchOptions opt;
-    opt.fast_path = true;
-    opt.scope.sink = &session;
-    const LaunchStats s = m.go(opt);
-    EXPECT_GT(s.timing.seconds, 0.0);
-  }
-  // Sanitizer enabled: the sanitize pass (and the trace pass) must run.
-  {
-    MatmulSetup m(wl, n, tile);
-    LaunchOptions opt;
-    opt.fast_path = true;
-    opt.sanitize.enabled = true;
-    const LaunchStats s = m.go(opt);
-    EXPECT_GT(s.timing.seconds, 0.0);
-    EXPECT_TRUE(s.sanitizer.clean());
-  }
-}
-
-TEST(LaunchFastPath, ModeledWatchdogStillArmsOneSample) {
+TEST(LaunchNoSamples, ModeledWatchdogStillFires) {
+  // An armed modeled watchdog needs a modeled time, so it traces one block
+  // even when the caller asked for none.
   const int n = 64, tile = 16;
   const auto wl = apps::MatmulWorkload::generate(n, 5);
   MatmulSetup m(wl, n, tile);
   LaunchOptions opt;
-  opt.fast_path = true;
+  opt.sample_blocks = 0;
   opt.resilience.enabled = true;
   opt.resilience.modeled_timeout_s = 1e-12;  // below any real kernel
   opt.resilience.max_retries = 0;
   opt.resilience.allow_fallback = false;
   try {
     m.go(opt);
-    FAIL() << "modeled watchdog did not fire under the fast path";
+    FAIL() << "modeled watchdog did not fire with sample_blocks = 0";
   } catch (const StatusError& e) {
     EXPECT_EQ(e.status(), Status::kTimeout);
   }
 }
 
-TEST(LaunchFastPath, SuiteOutputsUnchangedUnderFastPathAndPool) {
+TEST(LaunchNoSamples, FallbackLevelTwoTracesOnlyWhatIsNeeded) {
+  // Two injected transient failures walk the launch down to level 2, which
+  // traces one block when something needs a trace and none otherwise.
+  const int n = 64, tile = 16;
+  const auto wl = apps::MatmulWorkload::generate(n, 13);
+  const auto level_two = [] {
+    LaunchOptions opt;
+    opt.resilience.enabled = true;
+    opt.resilience.max_retries = 2;
+    opt.resilience.inject_transient_failures = 2;
+    opt.resilience.backoff_initial_s = 0;
+    return opt;
+  };
+  struct Row {
+    const char* name;
+    LaunchOptions opt;
+    std::size_t sampled_blocks;
+  };
+  std::vector<Row> rows;
+  rows.push_back({"unobserved", level_two(), 0});
+  rows.push_back({"sanitize requested", level_two(), 1});
+  rows.back().opt.sanitize.enabled = true;
+  rows.push_back({"modeled watchdog armed", level_two(), 1});
+  rows.back().opt.resilience.modeled_timeout_s = 1e9;  // armed, never fires
+  for (const Row& row : rows) {
+    MatmulSetup m(wl, n, tile);
+    const LaunchStats s = m.go(row.opt);
+    EXPECT_EQ(s.resilience.fallback_level, 2) << row.name;
+    EXPECT_EQ(s.trace.num_blocks, row.sampled_blocks) << row.name;
+    // Level 2 never runs the sanitize pass.
+    EXPECT_EQ(s.sanitizer.blocks_checked, 0u) << row.name;
+  }
+}
+
+// ---- Ambient pool --------------------------------------------------------------
+
+TEST(AmbientPool, SuiteOutputsUnchangedUnderPool) {
   const DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
   WorkerPool pool(4);
   for (const auto& app : apps::make_suite()) {
     const std::string name = app->info().name;
     const AppResult seq = app->run(spec, RunScale::kQuick);
-    AppResult fast;
+    AppResult pooled;
     {
       ScopedLaunchPool scoped_pool(&pool);
-      ScopedFastPath scoped_fast;
-      fast = app->run(spec, RunScale::kQuick);
+      pooled = app->run(spec, RunScale::kQuick);
     }
     // max_rel_err is computed from the GPU outputs against the CPU
-    // reference; exact equality means the fast path reproduced every output
-    // bit of every launch the app made.
-    EXPECT_EQ(seq.validated, fast.validated) << name;
-    EXPECT_EQ(seq.max_rel_err, fast.max_rel_err) << name;
-    EXPECT_EQ(seq.launches, fast.launches) << name;
+    // reference; exact equality means the pool reproduced every output bit
+    // of every launch the app made.
+    EXPECT_EQ(seq.validated, pooled.validated) << name;
+    EXPECT_EQ(seq.max_rel_err, pooled.max_rel_err) << name;
+    EXPECT_EQ(seq.launches, pooled.launches) << name;
   }
 }
 

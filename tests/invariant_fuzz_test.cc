@@ -17,11 +17,12 @@
 //      outputs, exactly one attempt, clean history;
 //   4. model sanity: occupancy fraction in (0, 1], modeled time positive,
 //      achieved DRAM bandwidth never exceeds the 86.4 GB/s hardware peak;
-//   5. the functional fast path is invisible in results: for every random
-//      configuration, {fast path on/off} x {sequential, pooled 2, pooled 4}
-//      x {fast/ucontext fiber engine} all produce bit-identical outputs, and
-//      the fast-path LaunchStats themselves are identical whichever
-//      scheduler ran them (empty trace/timing, same occupancy footprint);
+//   5. the trace sample is invisible in results: for every random
+//      configuration, {sampled, sample_blocks = 0} x {sequential, pooled 2,
+//      pooled 4} x {fast/ucontext fiber engine} all produce bit-identical
+//      outputs, and the sample-free LaunchStats themselves are identical
+//      whichever scheduler ran them (empty trace/timing, same occupancy
+//      footprint);
 //   6. batched trace recording (cudalite/trace_arena.h) is invisible: for
 //      every random configuration, {batched/legacy recorder} x {sequential,
 //      pooled 2, pooled 4} x {fast/ucontext fiber engine} agree on outputs,
@@ -228,7 +229,7 @@ TEST(InvariantFuzz, UntriggeredResiliencePolicyIsNoOp) {
   }
 }
 
-TEST(InvariantFuzz, FastPathInvisibleAcrossSchedulersAndFiberEngines) {
+TEST(InvariantFuzz, NoSampleLaunchInvisibleAcrossSchedulersAndFiberEngines) {
   std::mt19937 rng(fuzz_seed() + 4);
   WorkerPool pool2(2);
   WorkerPool pool4(4);
@@ -242,26 +243,26 @@ TEST(InvariantFuzz, FastPathInvisibleAcrossSchedulersAndFiberEngines) {
     // Traced sequential run on the default engine is the reference.
     const auto [ref_out, ref_stats] = run_config(c, input, base_options(c));
 
-    std::vector<LaunchStats> fast_stats;
+    std::vector<LaunchStats> untraced_stats;
     for (Fiber::Backend backend : backends) {
       for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
                                &pool4}) {
-        LaunchOptions fast = base_options(c);
-        fast.fast_path = true;
-        fast.fiber_backend = backend;
-        fast.pool = pool;
-        const auto [out, stats] = run_config(c, input, fast);
+        LaunchOptions untraced = base_options(c);
+        untraced.sample_blocks = 0;
+        untraced.fiber_backend = backend;
+        untraced.pool = pool;
+        const auto [out, stats] = run_config(c, input, untraced);
         EXPECT_EQ(ref_out, out)
             << c.str() << " pool=" << (pool ? pool->width() : 1)
             << " backend=" << (backend == Fiber::Backend::kFast ? "fast"
                                                                 : "ucontext");
-        fast_stats.push_back(stats);
+        untraced_stats.push_back(stats);
       }
     }
-    // Every fast-path run reports the same stats, whichever scheduler and
+    // Every sample-free run reports the same stats, whichever scheduler and
     // fiber engine produced it: no trace, no modeled timing, but the same
     // occupancy/footprint numbers the traced run derived.
-    for (const auto& s : fast_stats) {
+    for (const auto& s : untraced_stats) {
       EXPECT_EQ(s.trace.num_blocks, 0) << c.str();
       EXPECT_EQ(s.timing.seconds, 0.0) << c.str();
       EXPECT_EQ(s.smem_per_block, ref_stats.smem_per_block) << c.str();

@@ -179,7 +179,7 @@ TEST(ResilRetry, TransientFailuresRecoveredWithBackoffHistory) {
   EXPECT_DOUBLE_EQ(r.history[1].backoff_s, 2e-4);
   EXPECT_DOUBLE_EQ(r.total_backoff_s, 3e-4);
   // allow_fallback escalated one level per retry; the surviving attempt ran
-  // at the functional fast path.
+  // at level 2 (sequential, no sanitize pass, no trace sample).
   EXPECT_EQ(r.fallback_level, 2);
   EXPECT_EQ(r.history[2].fallback_level, 2);
   // Recovery is visible host-side as the informational sticky status.
@@ -243,7 +243,8 @@ TEST(ResilRetry, OutputsBitIdenticalAcrossFallbackLevels) {
   const auto expected = base_out.copy_to_host();
 
   // Degraded: two injected transient failures walk the launch down the full
-  // fallback ladder (pool -> sequential -> functional fast path).
+  // fallback ladder (pool -> sequential -> no sanitize pass, one traced
+  // block for the observer).
   Device dev;
   auto in = dev.alloc<int>(n);
   auto out = dev.alloc<int>(n);

@@ -293,6 +293,29 @@ TEST(ServeServer, FaultJobsReturnTypedErrorsAndAreNotCached) {
   server.shutdown();
 }
 
+TEST(ServeServer, ModeledTimeoutFiresWithZeroSampleBlocks) {
+  // A job asking for no trace samples still arms the modeled watchdog: the
+  // launch traces the one block the watchdog needs.
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("nosample");
+  Server server(cfg);
+  server.start();
+  Client client(cfg.socket_path);
+
+  JobRequest timeout = saxpy_job();
+  timeout.config.sample_blocks = 0;
+  timeout.fault.kind = "modeled_timeout";
+  Response r = client.call(timeout);
+  EXPECT_EQ(r.status, Status::kTimeout);
+
+  // The same job without the fault runs untraced and succeeds.
+  JobRequest plain = saxpy_job();
+  plain.config.sample_blocks = 0;
+  r = client.call(plain);
+  ASSERT_TRUE(r.ok()) << r.error;
+  server.shutdown();
+}
+
 TEST(ServeServer, PerSessionAdmissionControl) {
   ServerConfig cfg;
   cfg.socket_path = test_socket("admit");

@@ -9,12 +9,9 @@
 // path.  Each test here runs the same launch twice — ScopedTraceBatch(false)
 // then ScopedTraceBatch(true) — and diffs all of it, across convergent,
 // divergent, partially-converged, multi-space, sanitizer-observed, and
-// block-parallel launches.  The G80_TRACE_BATCH env escape hatch is covered
-// last (the ambient flag re-reads the environment on every launch, so tests
-// can flip it in-process).
+// block-parallel launches.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -346,51 +343,6 @@ TEST(TraceBatch, BlockParallelPoolsAgreeWithSequential) {
       return o;
     });
   }
-}
-
-TEST(TraceBatch, EnvEscapeHatchControlsTheAmbientDefault) {
-  // G80_TRACE_BATCH is re-read on every launch (never cached), so flipping
-  // it in-process works; the scoped override beats the environment.
-  ASSERT_EQ(ambient_trace_batch(), -1) << "test must start with no override";
-  setenv("G80_TRACE_BATCH", "off", 1);
-  EXPECT_FALSE(trace_batch_enabled());
-  setenv("G80_TRACE_BATCH", "on", 1);
-  EXPECT_TRUE(trace_batch_enabled());
-  setenv("G80_TRACE_BATCH", "0", 1);
-  EXPECT_FALSE(trace_batch_enabled());
-  {
-    ScopedTraceBatch on(true);
-    EXPECT_TRUE(trace_batch_enabled());  // override wins over env
-    {
-      ScopedTraceBatch off(false);
-      EXPECT_FALSE(trace_batch_enabled());
-    }
-    EXPECT_TRUE(trace_batch_enabled());  // nesting restores the outer override
-  }
-  unsetenv("G80_TRACE_BATCH");
-  EXPECT_TRUE(trace_batch_enabled()) << "batching defaults on";
-
-  // A launch under the env kill switch matches a batched launch exactly.
-  auto one = [] {
-    Device dev;
-    const int n = 128;
-    auto in = dev.alloc<float>(n);
-    auto out = dev.alloc<float>(n);
-    std::vector<float> host(n, 2.0f);
-    in.copy_from_host(host);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(2), Dim3(64), opt, ScatteredStoreKernel{}, in, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  };
-  setenv("G80_TRACE_BATCH", "off", 1);
-  const Observed via_env = one();
-  unsetenv("G80_TRACE_BATCH");
-  const Observed batched = one();
-  expect_identical(via_env, batched);
 }
 
 }  // namespace
