@@ -8,10 +8,10 @@
 // kernel body — dominates traced wall time.
 //
 // The arena removes both costs by exploiting one structural fact of the
-// BlockRunner's sweep: it resumes the lanes of a warp in thread-index order,
-// and within a converged warp every lane executes the same instruction
-// sequence between barriers.  So instead of grouping after the fact, the
-// arena reconstructs each warp-level memory instruction
+// BlockRunner's scheduling pass: it runs the lanes of a warp in thread-index
+// order, and within a converged warp every lane executes the same
+// instruction sequence between barriers.  So instead of grouping after the
+// fact, the arena reconstructs each warp-level memory instruction
 // *positionally while recording*:
 //
 //   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with

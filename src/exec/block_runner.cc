@@ -59,9 +59,22 @@ void BlockRunner::sync(int tid, SyncPoint at) {
   // Park-site bookkeeping feeds BarrierSnapshot only; unobserved runs skip
   // the store (sync_points_ is not even sized then).
   if (observer_ != nullptr) sync_points_[tid] = at;
-  fibers_[tid]->yield();
-  // Resumed: the barrier released.
-  status_[tid] = ThreadStatus::kRunning;
+  // Hand control straight to the next thread of this pass; only the pass's
+  // last thread goes back to run().  The release that resumes this thread
+  // has already flipped it back to kRunning.
+  const int next = next_running(tid + 1);
+  if (next < static_cast<int>(status_.size())) {
+    current_ = next;
+    fibers_[tid]->yield_to(*fibers_[next]);
+  } else {
+    fibers_[tid]->yield();
+  }
+}
+
+int BlockRunner::next_running(int from) const {
+  const int n = static_cast<int>(status_.size());
+  while (from < n && status_[from] != ThreadStatus::kRunning) ++from;
+  return from;
 }
 
 void BlockRunner::run_direct(int num_threads,
@@ -114,14 +127,18 @@ void BlockRunner::run(int num_threads, const std::function<void(int)>& body) {
     // One scheduling pass: advance every live thread, in thread-index order,
     // to its next barrier or exit.  Invariant at pass start: every live
     // thread is kRunning (fresh arm, or the release below flipped it back).
-    for (int t = 0; t < num_threads; ++t) {
-      if (status_[t] != ThreadStatus::kRunning) continue;
+    // A thread that parks hands off to the next one itself (see sync()), so
+    // resume() returns only when a thread exits, throws, or parks last;
+    // current_ names that thread and the pass continues after it.
+    for (int t = next_running(0); t < num_threads;
+         t = next_running(current_ + 1)) {
+      current_ = t;
       if (fibers_[t]->resume() == Fiber::State::kDone) {
-        status_[t] = ThreadStatus::kDone;
+        status_[current_] = ThreadStatus::kDone;
         --live;
-        if (observer_) exited_this_interval_.push_back(t);
+        if (observer_) exited_this_interval_.push_back(current_);
       }
-      // kSuspended means sync() parked it; status_ already kAtBarrier.
+      // kSuspended means the pass's last thread parked in sync().
     }
     if (live == 0) break;
 

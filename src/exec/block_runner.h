@@ -8,10 +8,15 @@
 // barrier reached by a strict subset of threads undefined).  Deadlock is
 // impossible under this scheduler.
 //
-// Each scheduling pass is one sweep over the threads in thread-index order,
-// resuming every thread that is still running; threads that exited are
-// skipped.  Observed and unobserved runs take the same sweep, so results are
-// bit-identical by construction.
+// Each scheduling pass runs every thread that is still running once, in
+// thread-index order, up to its next barrier or exit; threads that exited
+// are skipped.  The pass is a chain of handoffs: run() enters the first
+// live thread, and a thread parking in sync() switches straight into the
+// next live one (Fiber::yield_to), one stack switch per thread.  Control
+// comes back to run() only when a thread exits or throws (the pass then
+// continues after it) or when the pass's last thread parks, which releases
+// the barrier.  Observed and unobserved runs take the same pass, so results
+// are bit-identical by construction.
 //
 // That fixed order is also what makes batched trace recording possible: the
 // lanes of a converged warp replay the same instruction stream one after
@@ -136,6 +141,9 @@ class BlockRunner {
   };
   static void lane_entry(void* arg);
 
+  // First thread at index >= from that is kRunning, or status_.size().
+  int next_running(int from) const;
+
   std::size_t stack_bytes_;
   Fiber::Backend backend_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
@@ -146,6 +154,9 @@ class BlockRunner {
   const std::function<void(int)>* body_ = nullptr;  // valid during run()
   SharedArena shared_;
   int barriers_executed_ = 0;
+  // The thread running now; once run()'s resume() returns, the thread that
+  // gave control back.
+  int current_ = 0;
   bool direct_mode_ = false;
   BarrierObserver* observer_ = nullptr;
   const CancelToken* cancel_ = nullptr;

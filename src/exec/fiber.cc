@@ -1,6 +1,7 @@
 #include "exec/fiber.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
@@ -112,6 +113,20 @@ inline void tsan_switch_to(void* fiber) {
 
 }  // namespace
 
+// resume() builds one of these on the scheduler's stack.  yield_to() hands
+// the pointer down the chain; the fiber that yields or finishes names itself
+// in `from` and switches back through it.
+struct Fiber::Return {
+  void* sp = nullptr;  // fast engine: the scheduler's saved stack pointer
+  ucontext_t ctx;      // ucontext engine: the scheduler's saved context
+  Fiber* from = nullptr;
+  // Scheduler-stack bounds for the ASan annotations, learned by the first
+  // fiber to arrive from the scheduler (zero in non-ASan builds).
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* tsan_fiber = nullptr;  // the scheduler's TSan context
+};
+
 bool Fiber::fast_backend_supported() { return G80_FIBER_FAST != 0; }
 
 Fiber::Backend Fiber::default_backend() {
@@ -168,7 +183,7 @@ void Fiber::arm_ucontext() {
   G80_CHECK(getcontext(&context_) == 0);
   context_.uc_stack.ss_sp = stack_.data();
   context_.uc_stack.ss_size = stack_.size();
-  context_.uc_link = &return_context_;
+  context_.uc_link = nullptr;  // run_body switches out; it never returns
 
   // makecontext only passes ints; split the pointer across two.
   const auto self = reinterpret_cast<std::uintptr_t>(this);
@@ -225,19 +240,32 @@ void Fiber::fast_trampoline(void* self_ptr) {
     self->pending_exception_ = std::current_exception();
   }
   self->state_ = State::kDone;
+  self->return_->from = self;
   // Final switch out; this stack is dead, the saved sp is never resumed.
   void* dead_sp = nullptr;
-  g80_ctx_swap(&dead_sp, self->fast_sched_sp_);
+  g80_ctx_swap(&dead_sp, self->return_->sp);
   __builtin_unreachable();
 #else
   (void)self_ptr;
 #endif
 }
 
+// Runs on every arrival onto this fiber's stack.  The first arrival after a
+// resume() comes from the scheduler, so it is the one that records the
+// scheduler's stack bounds; later arrivals come from other fibers of the
+// chain and leave them alone.
+void Fiber::arrive(void* fake_stack_save) {
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  asan_finish_switch(fake_stack_save, &bottom, &size);
+  if (return_->stack_bottom == nullptr) {
+    return_->stack_bottom = bottom;
+    return_->stack_size = size;
+  }
+}
+
 void Fiber::run_body() {
-  // First entry onto this stack: no fake stack to restore (nullptr), and
-  // learn the scheduler's stack bounds for the yields/exit that follow.
-  asan_finish_switch(nullptr, &sched_stack_bottom_, &sched_stack_size_);
+  arrive(nullptr);  // first entry onto this stack: no fake stack to restore
   try {
     if (raw_entry_ != nullptr) {
       raw_entry_(raw_arg_);
@@ -248,50 +276,78 @@ void Fiber::run_body() {
     pending_exception_ = std::current_exception();
   }
   state_ = State::kDone;
-  // Falling off the trampoline returns via uc_link to return_context_.
+  return_->from = this;
   // nullptr fake-stack save: this fiber's frames are dead after the switch.
-  asan_start_switch(nullptr, sched_stack_bottom_, sched_stack_size_);
-  tsan_switch_to(tsan_sched_fiber_);
+  asan_start_switch(nullptr, return_->stack_bottom, return_->stack_size);
+  tsan_switch_to(return_->tsan_fiber);
+  setcontext(&return_->ctx);
+  std::abort();  // setcontext returns only on failure
 }
 
 Fiber::State Fiber::resume() {
   G80_CHECK_MSG(state_ == State::kRunnable || state_ == State::kSuspended,
                 "resume of a fiber that is not paused");
   state_ = State::kRunnable;
+  Return ret;
+  return_ = &ret;
 #if G80_FIBER_FAST
   if (backend_ == Backend::kFast) {
-    g80_ctx_swap(&fast_sched_sp_, fast_sp_);
+    g80_ctx_swap(&ret.sp, fast_sp_);
   } else
 #endif
   {
-    tsan_sched_fiber_ = tsan_current_fiber();
+    ret.tsan_fiber = tsan_current_fiber();
     void* fake_stack_save = nullptr;
     asan_start_switch(&fake_stack_save, stack_.data(), stack_.size());
     tsan_switch_to(tsan_fiber_);
-    G80_CHECK(swapcontext(&return_context_, &context_) == 0);
+    G80_CHECK(swapcontext(&ret.ctx, &context_) == 0);
     asan_finish_switch(fake_stack_save, nullptr, nullptr);
   }
-  if (pending_exception_) {
-    auto ex = pending_exception_;
-    pending_exception_ = nullptr;
+  Fiber* back = ret.from;
+  if (back->pending_exception_) {
+    auto ex = back->pending_exception_;
+    back->pending_exception_ = nullptr;
     std::rethrow_exception(ex);
   }
-  return state_;
+  return back->state_;
 }
 
 void Fiber::yield() {
   state_ = State::kSuspended;
+  return_->from = this;
 #if G80_FIBER_FAST
   if (backend_ == Backend::kFast) {
-    g80_ctx_swap(&fast_sp_, fast_sched_sp_);
+    g80_ctx_swap(&fast_sp_, return_->sp);
     return;
   }
 #endif
   void* fake_stack_save = nullptr;
-  asan_start_switch(&fake_stack_save, sched_stack_bottom_, sched_stack_size_);
-  tsan_switch_to(tsan_sched_fiber_);
-  G80_CHECK(swapcontext(&context_, &return_context_) == 0);
-  asan_finish_switch(fake_stack_save, nullptr, nullptr);
+  asan_start_switch(&fake_stack_save, return_->stack_bottom,
+                    return_->stack_size);
+  tsan_switch_to(return_->tsan_fiber);
+  G80_CHECK(swapcontext(&context_, &return_->ctx) == 0);
+  arrive(fake_stack_save);
+}
+
+void Fiber::yield_to(Fiber& next) {
+  G80_CHECK_MSG(&next != this && next.backend_ == backend_ &&
+                    (next.state_ == State::kRunnable ||
+                     next.state_ == State::kSuspended),
+                "handoff to a fiber that is not paused on the same engine");
+  state_ = State::kSuspended;
+  next.state_ = State::kRunnable;
+  next.return_ = return_;
+#if G80_FIBER_FAST
+  if (backend_ == Backend::kFast) {
+    g80_ctx_swap(&fast_sp_, next.fast_sp_);
+    return;
+  }
+#endif
+  void* fake_stack_save = nullptr;
+  asan_start_switch(&fake_stack_save, next.stack_.data(), next.stack_.size());
+  tsan_switch_to(next.tsan_fiber_);
+  G80_CHECK(swapcontext(&context_, &next.context_) == 0);
+  arrive(fake_stack_save);
 }
 
 }  // namespace g80

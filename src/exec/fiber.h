@@ -6,11 +6,18 @@
 // threads otherwise run to completion in-order; functional results are
 // deterministic.
 //
+// A scheduler enters a fiber with resume().  The fiber gives control back
+// with yield(), by finishing, or — without going through the scheduler —
+// by handing it to another parked fiber with yield_to().  A chain of
+// handoffs costs one stack switch per fiber; resume() returns when the last
+// fiber of the chain yields or finishes.
+//
 // Two interchangeable switch engines sit behind the same interface:
 //
 //  - kFast: a hand-rolled x86-64 stack switch (fiber_ctx.S) that swaps only
-//    the callee-saved registers and FP control words.  ~30 ns per switch.
-//    This is the default on non-sanitized x86-64 builds.
+//    the callee-saved registers and FP control words.  A resume + yield
+//    round trip is ~40-50 ns on a 4-core x86-64 host.  This is the default
+//    on non-sanitized x86-64 builds.
 //  - kUcontext: glibc swapcontext, which performs an rt_sigprocmask syscall
 //    per switch (~300 ns + syscall).  Required under ASan/TSan — the fast
 //    engine has no sanitizer fiber annotations — and on other architectures;
@@ -60,13 +67,21 @@ class Fiber {
   using RawEntry = void (*)(void*);
   void start(RawEntry entry, void* arg);
 
-  // Switch into the fiber until it yields or finishes.  Returns the state it
-  // ended in (kSuspended or kDone).  If the body threw, the exception is
-  // rethrown here on the scheduler's stack.
+  // Switch into the fiber until control comes back: when this fiber, or a
+  // fiber it handed off to, yields or finishes.  Returns the state of the
+  // fiber that gave control back (kSuspended or kDone).  If that fiber's
+  // body threw, the exception is rethrown here on the scheduler's stack.
   State resume();
 
   // Called from inside the fiber body: suspend back to the scheduler.
   void yield();
+
+  // Called from inside the fiber body: suspend and switch straight into
+  // `next`, a different fiber that is armed or parked.  `next` takes over
+  // the scheduler frame this fiber would have returned to, so the pending
+  // resume() returns once `next` (or a fiber it hands off to) yields or
+  // finishes.
+  void yield_to(Fiber& next);
 
   State state() const { return state_; }
   Backend backend() const { return backend_; }
@@ -74,33 +89,32 @@ class Fiber {
  private:
   static void trampoline(unsigned hi, unsigned lo);
   static void fast_trampoline(void* self);
+  // The scheduler frame a chain of fibers returns to; defined in fiber.cc.
+  struct Return;
+
   void arm_common();
   void arm_ucontext();
   void arm_fast();
   void run_body();
+  void arrive(void* fake_stack_save);
 
   std::vector<char> stack_;
   Backend backend_;
   ucontext_t context_{};
-  ucontext_t return_context_{};
-  // Fast-engine saved stack pointers: the fiber's own (valid while parked)
-  // and the scheduler frame to return to (valid while the fiber runs).
+  // Fast-engine saved stack pointer (valid while the fiber is parked).
   void* fast_sp_ = nullptr;
-  void* fast_sched_sp_ = nullptr;
+  // Where to give control back; set by resume() or by the fiber that
+  // handed off to this one, valid while the fiber runs.
+  Return* return_ = nullptr;
   RawEntry raw_entry_ = nullptr;
   void* raw_arg_ = nullptr;
   std::function<void()> body_;
   std::exception_ptr pending_exception_;
   State state_ = State::kIdle;
-  // Scheduler-stack bounds, learned on first entry; used by the ASan
-  // fiber-switch annotations (no-ops in non-sanitized builds).
-  const void* sched_stack_bottom_ = nullptr;
-  std::size_t sched_stack_size_ = 0;
-  // ThreadSanitizer fiber contexts (nullptr in non-TSan builds).  Without
-  // them TSan's shadow stack is left describing the scheduler while fiber
-  // frames execute, producing bogus races and stack-corruption reports.
+  // ThreadSanitizer fiber context (nullptr in non-TSan builds).  Without it
+  // TSan's shadow stack is left describing the scheduler while fiber frames
+  // execute, producing bogus races and stack-corruption reports.
   void* tsan_fiber_ = nullptr;
-  void* tsan_sched_fiber_ = nullptr;
 };
 
 }  // namespace g80

@@ -65,12 +65,16 @@ struct Scheduler::Impl {
         ScopedAttemptObserver scoped(job.hooks.attempts);
         out = run_job(dev, job.req, cfg.policy);
       }
+      // Rewind the slot after every job: Device allocates with a bump
+      // cursor that only reset() returns to zero, so a slot that skipped
+      // it after successful jobs would run out of address space and fail
+      // a job with kMemoryAllocation.  After a failed job the reset is
+      // also the cross-session isolation step — the next session's job
+      // binds to a pristine device — so only that one is counted and
+      // reported.  Drain the sticky error too; run_job already reported it.
+      dev.get_last_error();
+      dev.reset();
       if (out.status != Status::kSuccess) {
-        // Cross-session isolation: tear the device down to a pristine state
-        // before the next session's job binds to this slot.  Drain the
-        // sticky error too — run_job already reported it.
-        dev.get_last_error();
-        dev.reset();
         if (job.hooks.on_event) {
           try {
             job.hooks.on_event("device_reset",

@@ -8,11 +8,12 @@
 // Isolation is the point of the design:
 //   - every job runs under the pool's ResiliencePolicy (wall watchdog,
 //     bounded retries), so a wedged or slow job cannot hold a slot forever;
-//   - after any failed job the slot's Device is reset() and its sticky
-//     error drained before the next job binds, so one session's
-//     programming-model violation can never leak status — or execution
-//     state — into another session's job (the `robust` soak test asserts
-//     this end to end);
+//   - after every job the slot's Device is reset() and its sticky error
+//     drained before the next job binds, so one session's programming-model
+//     violation can never leak status — or execution state — into another
+//     session's job (the `robust` soak test asserts this end to end), and
+//     the device's bump allocator never runs out of address space;
+//     `device_resets` counts only the resets after failed jobs;
 //   - admission control is queue-depth backpressure: submit() rejects with
 //     StatusError(kNotReady) once a class's queue is full, instead of
 //     letting latency grow without bound.

@@ -330,29 +330,46 @@ struct Server::Impl {
     }
   }
 
-  // Writes an ok response inside the trace's respond span.
+  // Formats a response line inside the trace's respond span, then finishes
+  // the trace and only then writes the line.  The response is counted
+  // before its bytes reach the client, so any scrape that client (or
+  // another session) sends after reading it already includes it.
+  template <class Format>
+  void respond(const std::shared_ptr<Session>& s,
+               const std::shared_ptr<obs::RequestTrace>& tr,
+               const Format& format, std::string_view status,
+               std::string_view source) {
+    const int span = tr != nullptr ? tr->open("respond") : -1;
+    const std::string line = format();
+    if (tr != nullptr) {
+      tr->close(span);
+      // Jobs orphaned by Scheduler::stop never ran: their queue_wait span
+      // is still open.  Close everything so the record is well-formed.
+      tr->close_all("");
+    }
+    finish_trace(tr, status, source);
+    try {
+      s->write_response(line);
+    } catch (const Error&) {
+      // Session hung up before its answer was ready; nothing to tell it.
+    }
+  }
+
   void respond_ok(const std::shared_ptr<Session>& s,
                   const std::shared_ptr<obs::RequestTrace>& tr,
                   std::int64_t id, std::string_view source,
                   std::string_view payload) {
-    const int span = tr != nullptr ? tr->open("respond") : -1;
-    s->write_response(ok_response(id, source, payload));
-    if (tr != nullptr) tr->close(span);
+    respond(s, tr, [&] { return ok_response(id, source, payload); }, "ok",
+            source);
   }
 
   // Error-response path shared by every failed request: unwinds the trace
-  // (closing whatever phase the failure interrupted), responds, finishes.
+  // (closing whatever phase the failure interrupted), then responds.
   void respond_error(const std::shared_ptr<Session>& s,
                      const std::shared_ptr<obs::RequestTrace>& tr,
                      std::int64_t id, Status st, std::string_view msg) {
     note_session_error(s, st);
     if (tr != nullptr) tr->close_all(std::string(status_token(st)));
-    const int span = tr != nullptr ? tr->open("respond") : -1;
-    try {
-      s->write_response(error_response(id, st, msg));
-    } catch (const Error&) {
-    }
-    if (tr != nullptr) tr->close(span);
     if (log.enabled(obs::LogLevel::kDebug)) {
       log.debug("request_error")
           .field("session", s->id)
@@ -360,7 +377,8 @@ struct Server::Impl {
           .field("status", status_token(st))
           .field("error", msg);
     }
-    finish_trace(tr, status_token(st), "");
+    respond(s, tr, [&] { return error_response(id, st, msg); },
+            status_token(st), "");
   }
 
   void handle_line(const std::shared_ptr<Session>& s, const std::string& line) {
@@ -385,7 +403,6 @@ struct Server::Impl {
           w.kv("protocol_version", kProtocolVersion);
           w.end_object();
           respond_ok(s, tr, id, "", w.str());
-          finish_trace(tr, "ok", "");
           return;
         }
         case Op::kHello: {
@@ -400,12 +417,10 @@ struct Server::Impl {
           w.kv("model_version", kModelVersion);
           w.end_object();
           respond_ok(s, tr, id, "", w.str());
-          finish_trace(tr, "ok", "");
           return;
         }
         case Op::kStats:
           respond_ok(s, tr, id, "", stats_payload(s));
-          finish_trace(tr, "ok", "");
           return;
         case Op::kMetrics: {
           if (m == nullptr) {
@@ -416,7 +431,6 @@ struct Server::Impl {
           // counted, so a scraper's delta between two scrapes covers
           // exactly the earlier scrape's response plus everything between.
           respond_ok(s, tr, id, "", obs::metrics_json(registry.snapshot()));
-          finish_trace(tr, "ok", "");
           return;
         }
         case Op::kTraces: {
@@ -426,7 +440,6 @@ struct Server::Impl {
           }
           respond_ok(s, tr, id, "",
                      obs::traces_json(trace_ring.snapshot()));
-          finish_trace(tr, "ok", "");
           return;
         }
         case Op::kShutdown: {
@@ -435,7 +448,6 @@ struct Server::Impl {
           w.kv("stopping", true);
           w.end_object();
           respond_ok(s, tr, id, "", w.str());
-          finish_trace(tr, "ok", "");
           log.info("shutdown_requested").field("session", s->id);
           stopping_after_response = true;
           request_shutdown();
@@ -490,7 +502,6 @@ struct Server::Impl {
         }
         const std::string_view source = mem ? "cache_mem" : "cache_disk";
         respond_ok(s, tr, req.id, source, payload);
-        finish_trace(tr, "ok", source);
         return;
       }
     }
@@ -569,25 +580,14 @@ struct Server::Impl {
               }
               if (tr != nullptr) tr->close(store_span);
             }
-            const int respond_span = tr != nullptr ? tr->open("respond") : -1;
-            try {
-              if (out.status == Status::kSuccess) {
-                s->write_response(ok_response(id, "sim", out.payload));
-              } else {
-                s->write_response(error_response(id, out.status, out.error));
-              }
-            } catch (const Error&) {
-              // Session hung up before its job finished; nothing to tell it.
-            }
-            if (tr != nullptr) {
-              tr->close(respond_span);
-              // Jobs orphaned by Scheduler::stop never ran: their
-              // queue_wait span is still open.  Close everything so the
-              // record is well-formed either way.
-              tr->close_all("");
-            }
-            finish_trace(tr, status_token(out.status),
-                         out.status == Status::kSuccess ? "sim" : "");
+            const bool ok = out.status == Status::kSuccess;
+            respond(
+                s, tr,
+                [&] {
+                  return ok ? ok_response(id, "sim", out.payload)
+                            : error_response(id, out.status, out.error);
+                },
+                status_token(out.status), ok ? "sim" : "");
           },
           std::move(hooks));
     } catch (...) {

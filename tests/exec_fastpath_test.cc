@@ -1,6 +1,6 @@
 // Execution-engine throughput levers: the fast fiber switch engine, the
-// block scheduling sweep, sample-free (sample_blocks = 0) launches, and
-// work-stealing dispatch.
+// block scheduling pass and its barrier handoff chain, sample-free
+// (sample_blocks = 0) launches, and work-stealing dispatch.
 //
 // The contract under test everywhere: none of these levers may change
 // observable results.  Outputs are bit-identical to the traced sequential
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "exec/block_runner.h"
 #include "exec/fiber.h"
 #include "exec/worker_pool.h"
+#include "resil/resilience.h"
 
 namespace g80 {
 namespace {
@@ -82,6 +84,53 @@ TEST(FiberBackend, ExceptionsRethrowOnSchedulerStack) {
     EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
     EXPECT_THROW(f.resume(), std::runtime_error);
     EXPECT_EQ(f.state(), Fiber::State::kDone);
+  }
+}
+
+TEST(FiberBackend, HandoffReturnsThroughTheChain) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    Fiber a(64 * 1024, backend), b(64 * 1024, backend);
+    std::vector<int> order;
+    a.start([&] {
+      order.push_back(1);
+      a.yield_to(b);  // b's first entry comes from a, not the scheduler
+      order.push_back(4);
+    });
+    b.start([&] {
+      order.push_back(2);
+      b.yield();  // returns from the resume() that entered a
+      order.push_back(3);
+      b.yield_to(a);
+      throw std::runtime_error("after the handoff back");
+    });
+    // One resume() runs a then b; the state is the one b left behind.
+    EXPECT_EQ(a.resume(), Fiber::State::kSuspended);
+    EXPECT_EQ(a.state(), Fiber::State::kSuspended);
+    EXPECT_EQ(b.state(), Fiber::State::kSuspended);
+    // Resuming b hands back to a, which finishes: kDone is a's.
+    EXPECT_EQ(b.resume(), Fiber::State::kDone);
+    EXPECT_EQ(a.state(), Fiber::State::kDone);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    // b is still parked in its handoff; resuming it runs it to the throw.
+    EXPECT_THROW(b.resume(), std::runtime_error);
+    EXPECT_EQ(b.state(), Fiber::State::kDone);
+  }
+}
+
+TEST(FiberBackend, HandoffRethrowsFromTheFiberThatGaveControlBack) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    Fiber a(64 * 1024, backend), b(64 * 1024, backend);
+    a.start([&] { a.yield_to(b); });
+    b.start([] { throw std::runtime_error("thrown by b"); });
+    try {
+      a.resume();
+      FAIL() << "b's exception did not surface from a.resume()";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "thrown by b");
+    }
+    EXPECT_EQ(a.state(), Fiber::State::kSuspended);
+    EXPECT_EQ(b.state(), Fiber::State::kDone);
+    EXPECT_EQ(a.resume(), Fiber::State::kDone);  // a itself is unharmed
   }
 }
 
@@ -161,6 +210,150 @@ TEST(BlockSweep, FullyConvergedWarpsKeepBarrierSemantics) {
   EXPECT_EQ(r.barriers_executed(), 1);
   for (int t = 0; t < threads; ++t)
     EXPECT_EQ(seen[t], (t + 1) % threads + 1) << t;
+}
+
+// ---- Barrier handoff chain -----------------------------------------------------
+//
+// A thread parking at a barrier switches straight into the next live thread;
+// only exits, exceptions and the pass's last park return to the scheduler.
+
+TEST(HandoffChain, ThrowAfterHandoffStopsThePassAndRunnerRecovers) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    const int threads = 8;
+    BlockRunner r(threads, 16 * 1024, 64 * 1024, backend);
+    std::vector<int> before(threads, 0), after(threads, 0);
+    // Thread 3 throws in the second pass, where threads 1..7 are entered by
+    // the handoff from their predecessor rather than by the scheduler.
+    EXPECT_THROW(r.run(threads,
+                       [&](int tid) {
+                         ++before[tid];
+                         r.sync(tid);
+                         if (tid == 3) throw std::runtime_error("thread 3");
+                         ++after[tid];
+                         r.sync(tid);
+                       }),
+                 std::runtime_error);
+    EXPECT_EQ(before, std::vector<int>(threads, 1));
+    // Threads below the thrower ran their second phase; none after it did.
+    EXPECT_EQ(after, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
+
+    // The same runner re-arms every abandoned fiber for a clean block.
+    std::vector<int> slot(threads, -1), seen(threads, -1);
+    r.run(threads, [&](int tid) {
+      slot[tid] = tid * 10;
+      r.sync(tid);
+      seen[tid] = slot[(tid + 1) % threads];
+    });
+    EXPECT_EQ(r.barriers_executed(), 1);
+    for (int t = 0; t < threads; ++t)
+      EXPECT_EQ(seen[t], ((t + 1) % threads) * 10) << t;
+  }
+}
+
+TEST(HandoffChain, LowestThrowingThreadOfThePassWins) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    BlockRunner r(16, 16 * 1024, 64 * 1024, backend);
+    try {
+      // Both throwers are entered by handoff in the second pass.
+      r.run(16, [&](int tid) {
+        r.sync(tid);
+        if (tid == 5 || tid == 9) throw std::runtime_error(std::to_string(tid));
+        r.sync(tid);
+      });
+      FAIL() << "no exception propagated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "5");
+    }
+  }
+}
+
+// Records every barrier release in full.
+class RecordingObserver : public BarrierObserver {
+ public:
+  void on_barrier_release(const BarrierSnapshot& snap) override {
+    std::vector<int> row{snap.epoch, -1};
+    for (const auto& w : snap.waiting) {
+      row.push_back(w.tid);
+      row.push_back(static_cast<int>(w.at.site));
+    }
+    row.push_back(-2);
+    row.insert(row.end(), snap.exited.begin(), snap.exited.end());
+    rows.push_back(row);
+  }
+  std::vector<std::vector<int>> rows;
+};
+
+TEST(HandoffChain, MixedExitsGiveTheSameSnapshotsOnBothEngines) {
+  const int threads = 40;
+  // Thread 0 exits before any barrier, the last thread after one; the rest
+  // exit after 0..4 barriers, so handoffs skip exited threads at every
+  // position of the pass.
+  const auto trips = [&](int tid) {
+    if (tid == 0) return 0;
+    if (tid == threads - 1) return 1;
+    return (tid * 7) % 5;
+  };
+  // Release e parks every thread with more than e trips, each at the site of
+  // its (e+1)-th barrier, and reports the threads that ran exactly e.
+  std::vector<std::vector<int>> expected;
+  for (int e = 0; e < 4; ++e) {
+    std::vector<int> row{e, -1};
+    for (int t = 0; t < threads; ++t)
+      if (trips(t) > e) row.insert(row.end(), {t, 100 + e});
+    row.push_back(-2);
+    for (int t = 0; t < threads; ++t)
+      if (trips(t) == e) row.push_back(t);
+    expected.push_back(row);
+  }
+
+  std::vector<std::vector<std::vector<int>>> snapshots;
+  std::vector<std::vector<int>> outputs;
+  for (Fiber::Backend backend : backends_under_test()) {
+    BlockRunner r(threads, 16 * 1024, 64 * 1024, backend);
+    RecordingObserver obs;
+    std::vector<int> out(threads, 0);
+    r.set_barrier_observer(&obs);
+    r.run(threads, [&](int tid) {
+      for (int k = 0; k < trips(tid); ++k) {
+        out[tid] = out[tid] * 3 + out[(tid + 1) % threads] + k;
+        r.sync(tid, SyncPoint{static_cast<std::uint32_t>(100 + k)});
+      }
+    });
+    EXPECT_EQ(r.barriers_executed(), 4);
+    EXPECT_EQ(obs.rows, expected);
+    snapshots.push_back(obs.rows);
+    outputs.push_back(out);
+  }
+  for (std::size_t i = 1; i < outputs.size(); ++i) {
+    EXPECT_EQ(snapshots[i], snapshots[0]);
+    EXPECT_EQ(outputs[i], outputs[0]);
+  }
+}
+
+TEST(HandoffChain, SyncForeverBlockCancelsThroughWatchdog) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    BlockRunner r(64, 16 * 1024, 64 * 1024, backend);
+    CancelToken token;
+    r.set_cancel_token(&token);
+    try {
+      Watchdog dog(&token, 0.05, "wedged block");
+      r.run(64, [&](int tid) {
+        for (;;) r.sync(tid);
+      });
+      FAIL() << "a block that synchronizes forever returned";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status(), Status::kTimeout);
+    }
+    EXPECT_GT(r.barriers_executed(), 0);
+    // Detached from the fired token, the runner runs a clean block.
+    r.set_cancel_token(nullptr);
+    std::vector<int> hits(64, 0);
+    r.run(64, [&](int tid) {
+      r.sync(tid);
+      ++hits[tid];
+    });
+    EXPECT_EQ(hits, std::vector<int>(64, 1));
+  }
 }
 
 // ---- Sample-free launches (sample_blocks = 0) ----------------------------------

@@ -420,18 +420,14 @@ TEST(ObsServeTrace, MetricsAndTracesOpsExport) {
   EXPECT_NE(prom.find("g80_serve_latency_total_bucket{le=\"+Inf\"}"),
             std::string::npos);
 
-  // The launch trace reaches the ring just after its response is written;
-  // poll the op briefly instead of racing it.
+  // The launch trace reaches the ring before its response is written, so
+  // the first traces op already holds it.
   JobRequest treq;
   treq.op = Op::kTraces;
-  std::string traces_payload;
-  for (int tries = 0; tries < 100; ++tries) {
-    const Response tr = client.call(treq);
-    ASSERT_TRUE(tr.ok()) << tr.error;
-    traces_payload = tr.result_json;
-    if (traces_payload.find("\"launch\"") != std::string::npos) break;
-    ::usleep(10000);
-  }
+  const Response tr = client.call(treq);
+  ASSERT_TRUE(tr.ok()) << tr.error;
+  const std::string& traces_payload = tr.result_json;
+  EXPECT_NE(traces_payload.find("\"launch\""), std::string::npos);
   const JsonValue traces = JsonValue::parse(traces_payload);
   EXPECT_GT(traces.require("traces").size(), 0u);
   const std::string chrome = obs::chrome_trace_from_traces(traces);

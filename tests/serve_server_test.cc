@@ -9,9 +9,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "serve/client.h"
@@ -345,6 +348,86 @@ TEST(ServeServer, PerSessionAdmissionControl) {
   }
   EXPECT_GE(ok, 1);
   EXPECT_GE(not_ready, 1);
+  server.shutdown();
+}
+
+// The value of counter `name` in a metrics-op payload.
+double scraped_counter(const Response& r, const std::string& name) {
+  const JsonValue doc = JsonValue::parse(r.result_json);
+  const JsonValue& metrics = doc.require("metrics");
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    if (metrics.at(i).get_string("name", "") == name)
+      return metrics.at(i).require("value").as_number();
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
+}
+
+TEST(ServeServer, ResponseIsCountedBeforeItsClientReadsIt) {
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("count");
+  cfg.obs.log_level = obs::LogLevel::kOff;
+  Server server(cfg);
+  server.start();
+  JobRequest ping;
+  ping.op = Op::kPing;
+  JobRequest scrape;
+  scrape.op = Op::kMetrics;
+
+  // Several sessions alternate pings and scrapes.  Every response some
+  // client has already read must be in any scrape sent afterwards, from
+  // whichever session: a response is counted before its bytes go out.
+  constexpr int kSessions = 6;
+  constexpr int kRounds = 150;
+  std::atomic<std::uint64_t> received{0};  // responses read, all sessions
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) {
+    threads.emplace_back([&] {
+      Client client(cfg.socket_path);
+      for (int i = 0; i < kRounds; ++i) {
+        if (!client.call(ping).ok()) violations.fetch_add(1);
+        received.fetch_add(1);
+        const double floor = static_cast<double>(received.load());
+        const Response r = client.call(scrape);
+        received.fetch_add(1);
+        if (!r.ok() ||
+            scraped_counter(r, "serve.responses_total") < floor) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(received.load(), 2u * kSessions * kRounds);
+  server.shutdown();
+}
+
+TEST(ServeServer, SlotDeviceIsRewoundAfterEveryJob) {
+  // One gtx slot (768 MiB) and 140 distinct 6 MiB saxpy jobs: 840 MiB in
+  // total, more than the device holds, so the slot must give each job's
+  // memory back.
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("rewind");
+  cfg.pool.gtx_slots = 1;
+  cfg.pool.ultra_slots = 0;
+  cfg.pool.gts_slots = 0;
+  Server server(cfg);
+  server.start();
+  Client client(cfg.socket_path);
+  for (int j = 0; j < 140; ++j) {
+    JobRequest req = saxpy_job(524288, 1000 + j);
+    req.no_cache = true;
+    req.config.sample_blocks = 0;
+    const Response r = client.call(req);
+    ASSERT_TRUE(r.ok()) << "job " << j << ": " << r.error;
+  }
+  const SchedulerStats ss = server.scheduler_stats();
+  EXPECT_EQ(ss.jobs_ok, 140u);
+  EXPECT_EQ(ss.jobs_failed, 0u);
+  // Only a failed job's reset is counted.
+  EXPECT_EQ(ss.device_resets, 0u);
   server.shutdown();
 }
 
