@@ -108,36 +108,26 @@ void BM_FunctionalLaunch(benchmark::State& state) {
   opt.uses_sync = false;
   opt.sample_blocks = 0;  // functional pass only
   for (auto _ : state) {
-    // sample_blocks=0 would break timing; run with 1 sampled block.
-    LaunchOptions o = opt;
-    o.sample_blocks = 1;
     benchmark::DoNotOptimize(
-        launch(dev, Dim3(blocks), Dim3(256), o, StreamKernel{}, a, b));
+        launch(dev, Dim3(blocks), Dim3(256), opt, StreamKernel{}, a, b));
   }
   state.SetItemsProcessed(state.iterations() * blocks * 256);
 }
 BENCHMARK(BM_FunctionalLaunch)->Arg(16)->Arg(256);
 
-// Recorder cost on a many-site kernel, the note_site pathology: cycling
-// through S distinct sites defeats the most-recent memo, so the legacy
-// recorder pays an O(S) linear scan per access while the arena path pays one
-// memo compare plus an O(1) intern probe.  Args are {distinct sites,
-// batched? 1 : 0}; compare the 0/1 rows at each site count.
+// Recorder cost on a many-site kernel: cycling through S distinct sites
+// defeats the recorder's last-site memo, so every access pays an intern
+// probe into the arena's block-level site table.  Arg: distinct sites.
 void BM_RecorderManySites(benchmark::State& state) {
   const int sites = static_cast<int>(state.range(0));
-  const bool batched = state.range(1) != 0;
   constexpr int kAccesses = 4096;
   LaneTrace lane;
   TraceArena arena;
   const std::source_location loc = std::source_location::current();
   for (auto _ : state) {
     lane.clear();
-    TraceArena* ap = nullptr;
-    if (batched) {
-      arena.begin_block(kSpec, 32);
-      ap = &arena;
-    }
-    LaneRecorder rec(&lane, ap, 0);
+    arena.begin_block(kSpec, 32);
+    LaneRecorder rec(&lane, arena, 0);
     for (int i = 0; i < kAccesses; ++i) {
       const auto site = static_cast<std::uint32_t>(i % sites) + 1;
       rec.mem(OpClass::kLoadGlobal, static_cast<std::uint64_t>(i) * 4, 4,
@@ -147,10 +137,7 @@ void BM_RecorderManySites(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kAccesses);
 }
-BENCHMARK(BM_RecorderManySites)
-    ->Args({4, 0})->Args({4, 1})
-    ->Args({64, 0})->Args({64, 1})
-    ->Args({512, 0})->Args({512, 1});
+BENCHMARK(BM_RecorderManySites)->Arg(4)->Arg(64)->Arg(512);
 
 void BM_TracedLaunch(benchmark::State& state) {
   Device dev;

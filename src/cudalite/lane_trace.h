@@ -1,30 +1,15 @@
-// Per-thread (lane) dynamic trace recorded by the tracing context.
-//
-// Each lane independently logs its instruction-class counts and the ordered
-// sequence of memory accesses per address space.  After the block completes,
-// trace_collect.cc lines the lanes of a warp up by static instruction
-// identity ("lane k's j-th access AT THIS CALL SITE belongs to the warp's
-// j-th dynamic instance of that instruction") and runs the coalescing /
-// bank-conflict / constant-broadcast analyzers on each reconstructed warp
-// access.  Site-keyed grouping stays correct even when divergent lanes
-// execute different numbers of accesses.
-//
-// On the default traced path the four per-space access vectors below stay
-// EMPTY: the recorder streams accesses into the launch slot's TraceArena
-// (trace_arena.h), which reconstructs the warp-level instructions
-// positionally while recording, and the collector reads them off the
-// arena's SoA rows.  The AoS vectors remain the storage for the legacy
-// pipeline (ScopedTraceBatch(false), direct collect_block_trace callers) —
-// both produce bit-identical BlockTraces.  Everything else in LaneTrace
-// (op counts, flops, branches, syncs, site notes) is recorded per lane on
-// both paths.
+// Per-thread (lane) dynamic trace recorded by the tracing context: the
+// lane's instruction-class counts, flops, branch outcomes, barrier sites and
+// call-site notes.  Memory accesses do not land here; the recorder streams
+// them into the launch slot's TraceArena (trace_arena.h), which lines a
+// warp's lanes up into warp-level instructions while recording.  After the
+// block completes, trace_collect.cc combines both into a BlockTrace.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "hw/isa.h"
-#include "mem/access.h"
 
 namespace g80 {
 
@@ -45,24 +30,16 @@ struct SiteNote {
 struct LaneTrace {
   OpCounts ops;
   double flops = 0;
-  std::vector<MemAccess> global;
-  std::vector<MemAccess> shared;
-  std::vector<MemAccess> constant;
-  std::vector<MemAccess> texture;
   std::vector<BranchEvent> branches;
   // bar.sync call sites in execution order (one entry per sync executed).
   std::vector<std::uint32_t> sync_sites;
-  // site -> source position table (few distinct sites per kernel; the
-  // recorder probes linearly with a most-recent fast path).
+  // Source positions of the sites this lane used first in its block (the
+  // arena's intern table dedups across the block's lanes).
   std::vector<SiteNote> site_notes;
 
   void clear() {
     ops = OpCounts{};
     flops = 0;
-    global.clear();
-    shared.clear();
-    constant.clear();
-    texture.clear();
     branches.clear();
     sync_sites.clear();
     site_notes.clear();

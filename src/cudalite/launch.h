@@ -306,6 +306,11 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   if (total_blocks < 1) {
     dev.raise(Status::kInvalidConfiguration, "empty grid");
   }
+  if (!TraceArena::supports_warp_size(spec.warp_size)) {
+    dev.raise(Status::kInvalidConfiguration,
+              "warp size " + std::to_string(spec.warp_size) +
+                  " unsupported (must be even, 2..32)");
+  }
   // One block's registers must fit the SM's file (allocated in
   // register_alloc_unit chunks) or the launch can never be scheduled.
   const long long unit = spec.register_alloc_unit;
@@ -378,14 +383,9 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       std::vector<BlockTrace> traces(samples.size());
       std::vector<std::vector<LaneTrace>> slot_lanes(
           static_cast<std::size_t>(slots));
-      // Batched recording (default; ScopedTraceBatch(false) selects the
-      // legacy per-lane reference pipeline): each slot owns a TraceArena
-      // whose SoA row capacity carries across the blocks it traces, so
-      // steady-state recording allocates nothing.  Both pipelines produce
-      // bit-identical BlockTraces (tests/trace_batch_test.cc).
-      const bool batch = trace_batch_enabled();
-      std::vector<TraceArena> slot_arenas(
-          batch ? static_cast<std::size_t>(slots) : 0);
+      // Each slot owns a TraceArena whose SoA row capacity carries across
+      // the blocks it traces, so steady-state recording allocates nothing.
+      std::vector<TraceArena> slot_arenas(static_cast<std::size_t>(slots));
       detail::for_each_block(
           pool, samples.size(),
           [&](int slot, std::uint64_t i) {
@@ -394,12 +394,8 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
             auto& lanes = slot_lanes[static_cast<std::size_t>(slot)];
             lanes.resize(static_cast<std::size_t>(threads));
             for (auto& l : lanes) l.clear();
-            TraceArena* arena = nullptr;
-            if (batch) {
-              auto& a = slot_arenas[static_cast<std::size_t>(slot)];
-              a.begin_block(spec, threads);
-              if (a.active()) arena = &a;
-            }
+            auto& arena = slot_arenas[static_cast<std::size_t>(slot)];
+            arena.begin_block(spec, threads);
             BlockEnv env{&r, grid, block,
                          delinearize(static_cast<unsigned>(samples[i]), grid)};
             run_block(r, [&](int tid) {

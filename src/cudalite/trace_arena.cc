@@ -2,14 +2,9 @@
 
 #include <algorithm>
 
+#include "common/error.h"
+
 namespace g80 {
-
-namespace {
-thread_local bool t_trace_batch = true;
-}  // namespace
-
-bool trace_batch_enabled() { return t_trace_batch; }
-void set_trace_batch_enabled(bool on) { t_trace_batch = on; }
 
 // ---------------------------------------------------------------------------
 // SiteInterner
@@ -70,10 +65,8 @@ void WarpSpaceBatch::reconstruct_lane(int sub,
 // ---------------------------------------------------------------------------
 
 void TraceArena::begin_block(const DeviceSpec& spec, int num_lanes) {
+  G80_CHECK(num_lanes > 0 && supports_warp_size(spec.warp_size));
   warp_size_ = spec.warp_size;
-  active_ = num_lanes > 0 && warp_size_ >= 2 &&
-            warp_size_ <= WarpSpaceBatch::kMaxLanes && warp_size_ % 2 == 0;
-  if (!active_) return;
   num_warps_ = (num_lanes + warp_size_ - 1) / warp_size_;
   const std::size_t need =
       static_cast<std::size_t>(num_warps_) * kNumTraceSpaces;

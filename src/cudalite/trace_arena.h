@@ -1,18 +1,13 @@
-// Arena-backed SoA trace storage for the trace pass (ROADMAP item 1:
-// "batch the trace pass's recorder dispatch the same way").
+// Arena-backed SoA trace storage: the trace pass records every memory access
+// here.
 //
-// The legacy recording pipeline is AoS and per-lane: every `LaneRecorder::mem`
-// pushes a 24-byte MemAccess into the lane's own vector, and after the block
-// completes trace_collect.cc re-groups those per-lane streams into warp-level
-// instructions with per-access hash-map lookups.  That re-grouping — not the
-// kernel body — dominates traced wall time.
-//
-// The arena removes both costs by exploiting one structural fact of the
-// BlockRunner's scheduling pass: it runs the lanes of a warp in thread-index
-// order, and within a converged warp every lane executes the same
-// instruction sequence between barriers.  So instead of grouping after the
-// fact, the arena reconstructs each warp-level memory instruction
-// *positionally while recording*:
+// Grouping per-lane access streams into warp-level instructions after the
+// block (by (site, occurrence), with per-access hash lookups) would dominate
+// traced wall time.  The arena avoids it by exploiting one structural fact
+// of the BlockRunner's scheduling pass: it runs the lanes of a warp in
+// thread-index order, and within a converged warp every lane executes the
+// same instruction sequence between barriers.  So the arena reconstructs
+// each warp-level memory instruction *positionally while recording*:
 //
 //   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with
 //     one row per warp-level instruction — a packed static key
@@ -26,16 +21,15 @@
 //     warp's common instruction stream.  It permanently falls back to a
 //     per-lane overflow vector and the stream is marked dirty; the collector
 //     then reconstructs the exact per-lane sequences (prefix rows + overflow)
-//     and runs the legacy (site, occurrence) grouping on them, so divergent
-//     warps produce bit-identical statistics through the slow path.
+//     and regroups them by (site, occurrence), so divergent warps get exact
+//     statistics through the slow path.
 //
 // Why positional matching is exact for clean streams: every lane's matched
 // rows form a prefix [0, cursor), so row j groups exactly the lanes whose
-// j-th access it is, the shared key prefix makes the legacy key
+// j-th access it is, the shared key prefix makes the key
 // (site, occurrence-at-site) of position j identical across lanes, and
-// first-appearance order equals row order.  tests/trace_batch_test.cc and
-// invariant-fuzz property 6 pin the resulting bit-identity;
-// ScopedTraceBatch(false) selects the legacy pipeline for A/B comparison.
+// first-appearance order equals row order.  tests/trace_oracle_test.cc
+// checks both halves against group_warp_instructions.
 #pragma once
 
 #include <array>
@@ -47,30 +41,6 @@
 #include "mem/access.h"
 
 namespace g80 {
-
-// ---------------------------------------------------------------------------
-// Batch gating: a thread-local flag, on by default, the same ambient pattern
-// as ScopedLaunchPool.  Tests and benches turn it off to run the legacy
-// per-lane recorder, the bit-identity reference.
-// ---------------------------------------------------------------------------
-
-// Whether the next launch's trace pass on this thread records through the
-// arena.
-bool trace_batch_enabled();
-void set_trace_batch_enabled(bool on);
-
-class ScopedTraceBatch {
- public:
-  explicit ScopedTraceBatch(bool on) : prev_(trace_batch_enabled()) {
-    set_trace_batch_enabled(on);
-  }
-  ~ScopedTraceBatch() { set_trace_batch_enabled(prev_); }
-  ScopedTraceBatch(const ScopedTraceBatch&) = delete;
-  ScopedTraceBatch& operator=(const ScopedTraceBatch&) = delete;
-
- private:
-  bool prev_;
-};
 
 // ---------------------------------------------------------------------------
 // Address spaces the recorder batches (dense index into TraceArena streams).
@@ -216,12 +186,16 @@ struct WarpSpaceBatch {
 
 class TraceArena {
  public:
-  // Prepares for one block of `num_lanes` threads.  Batching requires the
-  // 32-bit lane masks to cover a warp; other warp sizes leave the arena
-  // inactive and the launch falls back to the legacy pipeline.
+  // Whether 32-bit lane masks cover a warp and it splits into half-warps;
+  // launches reject any other warp size up front.
+  static bool supports_warp_size(int warp_size) {
+    return warp_size >= 2 && warp_size <= WarpSpaceBatch::kMaxLanes &&
+           warp_size % 2 == 0;
+  }
+
+  // Prepares for one block of `num_lanes` (>= 1) threads.
   void begin_block(const DeviceSpec& spec, int num_lanes);
 
-  bool active() const { return active_; }
   int warp_size() const { return warp_size_; }
   int num_warps() const { return num_warps_; }
 
@@ -238,7 +212,6 @@ class TraceArena {
  private:
   std::vector<WarpSpaceBatch> streams_;
   SiteInterner sites_;
-  bool active_ = false;
   int warp_size_ = 0;
   int num_warps_ = 0;
 };

@@ -56,8 +56,8 @@ struct OpCounts {
   std::uint64_t operator[](OpClass c) const { return counts[static_cast<std::size_t>(c)]; }
 
   OpCounts& operator+=(const OpCounts& o);
-  // Exact equality — trace_batch_test and the bench gates assert the batched
-  // recorder reproduces legacy instruction counts bit-for-bit.
+  // Exact equality — part of TraceSummary's, which the invariant fuzzer holds
+  // block-parallel traces to.
   bool operator==(const OpCounts&) const = default;
   std::uint64_t total() const;
   // Total dynamic floating-point operations (per lane counts already folded in).

@@ -76,9 +76,9 @@ struct KernelCounters {
   double divergent_branch_fraction() const;
 
   KernelCounters& operator+=(const KernelCounters& o);
-  // Exact equality: counters are pure functions of the trace pass, so the
-  // batched and legacy recorder paths must agree on every field
-  // (tests/trace_batch_test.cc, bench/rt_throughput.cc traced gate).
+  // Exact equality: counters are pure functions of the trace pass, so
+  // repeated or block-parallel runs of one launch agree on every field
+  // (the g80bench output checks).
   bool operator==(const KernelCounters&) const = default;
 };
 

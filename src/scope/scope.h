@@ -18,10 +18,10 @@
 // reproduces the launch total the aggregate model implies
 // (tests/scope_test.cc pins this down against g80prof's counters).
 //
-// The TraceSummary input comes from the batched recorder path by default
-// (cudalite/trace_arena.h), whose contract is bit-identity with per-lane
-// recording — so every bucket series and site attribution here is equal,
-// element for element, under either recorder (tests/trace_batch_test.cc).
+// The TraceSummary input comes from the trace arena's batched recording
+// (cudalite/trace_arena.h); tests/trace_batch_test.cc pins golden digests of
+// the resulting bucket series, recorded when per-lane recording still
+// existed and agreed element for element.
 //
 // How the expansion works
 // -----------------------

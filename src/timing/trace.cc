@@ -96,6 +96,7 @@ TraceSummary TraceSummary::summarize(const std::vector<BlockTrace>& blocks) {
   for (const auto& b : blocks) {
     s.num_warps += b.warps.size();
     s.total += b.aggregate();
+    s.regrouped_streams += b.regrouped_streams;
     merge_site_stats(s.sites, b.sites);
   }
   return s;

@@ -81,6 +81,9 @@ struct BlockTrace {
   std::vector<WarpTrace> warps;
   // Per-call-site attribution, ordered by (file, line, site).
   std::vector<SiteStats> sites;
+  // (warp, address space) streams whose lanes diverged positionally and went
+  // through per-lane (site, occurrence) regrouping (cudalite/trace_arena.h).
+  std::uint64_t regrouped_streams = 0;
 
   WarpTrace aggregate() const;
 };
@@ -93,12 +96,12 @@ struct TraceSummary {
   // Per-call-site totals merged across blocks in sample order, so the result
   // is bit-identical whether blocks were traced sequentially or by a pool.
   std::vector<SiteStats> sites;
+  std::uint64_t regrouped_streams = 0;  // summed over the traced blocks
 
   static TraceSummary summarize(const std::vector<BlockTrace>& blocks);
 
-  // Exact equality across every counter and site — the contract the batched
-  // recorder path (cudalite/trace_arena.h) is held to by trace_batch_test
-  // and the rt_throughput traced gate.
+  // Exact equality across every counter and site — how the invariant fuzzer
+  // holds block-parallel traces to the sequential one.
   bool operator==(const TraceSummary&) const = default;
 
   double warps_per_block() const;

@@ -23,10 +23,11 @@
 //      outputs, and the sample-free LaunchStats themselves are identical
 //      whichever scheduler ran them (empty trace/timing, same occupancy
 //      footprint);
-//   6. batched trace recording (cudalite/trace_arena.h) is invisible: for
-//      every random configuration, {batched/legacy recorder} x {sequential,
-//      pooled 2, pooled 4} x {fast/ucontext fiber engine} agree on outputs,
-//      the full trace summary, and modeled timing, bit for bit.
+//   6. trace recording (cudalite/trace_arena.h) is schedule-independent:
+//      for every random configuration, {sequential, pooled 2, pooled 4} x
+//      {fast/ucontext fiber engine} agree with the sequential default-engine
+//      run on outputs, the full trace summary (including how many streams
+//      were regrouped), and modeled timing, bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -38,7 +39,6 @@
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
-#include "cudalite/trace_arena.h"
 #include "exec/fiber.h"
 #include "exec/worker_pool.h"
 
@@ -273,7 +273,7 @@ TEST(InvariantFuzz, NoSampleLaunchInvisibleAcrossSchedulersAndFiberEngines) {
   }
 }
 
-TEST(InvariantFuzz, BatchedRecorderInvisibleAcrossSchedulersAndFiberEngines) {
+TEST(InvariantFuzz, TraceRecordingInvisibleAcrossSchedulersAndFiberEngines) {
   std::mt19937 rng(fuzz_seed() + 5);
   WorkerPool pool2(2);
   WorkerPool pool4(4);
@@ -284,15 +284,9 @@ TEST(InvariantFuzz, BatchedRecorderInvisibleAcrossSchedulersAndFiberEngines) {
     const auto c = random_config(rng);
     const auto input = random_input(rng, c.n());
 
-    // Legacy-recorder sequential run is the reference.
-    std::vector<float> ref_out;
-    LaunchStats ref_stats;
-    {
-      ScopedTraceBatch off(false);
-      std::tie(ref_out, ref_stats) = run_config(c, input, base_options(c));
-    }
+    // Sequential run on the default engine is the reference.
+    const auto [ref_out, ref_stats] = run_config(c, input, base_options(c));
 
-    ScopedTraceBatch on(true);
     for (Fiber::Backend backend : backends) {
       for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
                                &pool4}) {
@@ -306,8 +300,11 @@ TEST(InvariantFuzz, BatchedRecorderInvisibleAcrossSchedulersAndFiberEngines) {
             (backend == Fiber::Backend::kFast ? "fast" : "ucontext");
         EXPECT_EQ(ref_out, out) << label;
         // The entire trace summary — every warp counter, DRAM byte, and
-        // per-site attribution row — must match the legacy recorder.
+        // per-site attribution row — must match the sequential run.
         EXPECT_TRUE(ref_stats.trace == stats.trace) << label;
+        EXPECT_EQ(ref_stats.trace.regrouped_streams,
+                  stats.trace.regrouped_streams)
+            << label;
         EXPECT_EQ(ref_stats.timing.seconds, stats.timing.seconds) << label;
         EXPECT_EQ(ref_stats.timing.kernel_cycles, stats.timing.kernel_cycles)
             << label;

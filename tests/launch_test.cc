@@ -425,6 +425,27 @@ TEST(LaunchStatus, ThreeDimensionalGridIsInvalidConfiguration) {
   EXPECT_EQ(dev.get_last_error(), Status::kInvalidConfiguration);
 }
 
+TEST(LaunchStatus, UnsupportedWarpSizeIsInvalidConfiguration) {
+  // The trace pass lines a warp up in 32-bit lane masks and the memory
+  // analyzers split it into half-warps: odd or out-of-range warp sizes are
+  // rejected before any pass runs, whatever the sample count.
+  for (int ws : {0, 1, 3, 31, 34, 64}) {
+    DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
+    spec.warp_size = ws;
+    Device dev(spec);
+    auto d = dev.alloc<float>(16);
+    LaunchOptions opt;
+    opt.sample_blocks = 0;
+    const auto [code, msg] = catch_status([&] {
+      launch(dev, Dim3(1), Dim3(16), opt, Mad4Kernel{}, d);
+    });
+    EXPECT_EQ(code, Status::kInvalidConfiguration) << ws;
+    EXPECT_NE(msg.find("warp size " + std::to_string(ws)), std::string::npos)
+        << msg;
+    EXPECT_EQ(dev.get_last_error(), Status::kInvalidConfiguration);
+  }
+}
+
 TEST(LaunchStatus, RegisterFileExhaustionIsLaunchOutOfResources) {
   Device dev;
   auto d = dev.alloc<float>(16);

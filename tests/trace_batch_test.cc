@@ -1,347 +1,100 @@
-// Bit-identity contract of the batched recorder path (cudalite/trace_arena.h).
+// Golden digests of the trace pass (tests/trace_digest.h): everything a
+// traced launch feeds downstream — the full TraceSummary, the modeled time,
+// every derived g80prof counter and every g80scope series — is pinned for
+// the recorder-regime launches in trace_cases.h and for all 13 suite
+// applications at quick scale.
 //
-// The trace arena turns per-lane AoS recording into warp-batched SoA rows,
-// falling back to exact per-lane reconstruction whenever a warp's lanes stop
-// matching positionally.  Its contract is that NOTHING downstream can tell:
-// kernel outputs, the full TraceSummary (every warp counter and per-site
-// attribution row), the modeled timing, every derived g80prof counter, and
-// every g80scope bucket series must be bit-identical to the legacy per-lane
-// path.  Each test here runs the same launch twice — ScopedTraceBatch(false)
-// then ScopedTraceBatch(true) — and diffs all of it, across convergent,
-// divergent, partially-converged, multi-space, sanitizer-observed, and
-// block-parallel launches.
+// The values were recorded when the trace pass still had two recorders
+// (the per-lane AoS recorder and the batched arena) and both produced them;
+// so these tests keep the arena held to the per-lane reference semantics.
+// Each launch also asserts which collector path it covers: regrouped_streams
+// is 0 when every warp stayed positionally converged and > 0 when some
+// stream went through per-lane regrouping.
+//
+// A mismatch prints the recomputed digest.  Re-pinning one needs a stated
+// reason (a deliberate model change) recorded alongside the new value.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "apps/matmul/matmul.h"
-#include "cudalite/device.h"
-#include "cudalite/launch.h"
-#include "cudalite/trace_arena.h"
-#include "exec/worker_pool.h"
-#include "prof/counters.h"
-#include "prof/profiler.h"
-#include "scope/session.h"
+#include "apps/suite.h"
+#include "trace_cases.h"
+#include "trace_digest.h"
 
 namespace g80 {
 namespace {
 
-// ---- Kernels spanning the recorder's convergence regimes --------------------
+const DeviceSpec kSpec = DeviceSpec::geforce_8800_gtx();
 
-// Fully converged multi-space kernel: coalesced global loads, a stride-2
-// shared store (bank conflicts), a divergence-free constant broadcast, a
-// texture stream, and a barrier.  Every warp stays clean in the arena.
-struct ConvergedMultiSpaceKernel {
-  template <class Ctx>
-  void operator()(Ctx& ctx, DeviceBuffer<float>& in,
-                  const ConstantBuffer<float>& c, const Texture1D<float>& t,
-                  DeviceBuffer<float>& out) const {
-    auto In = ctx.global(in);
-    auto Out = ctx.global(out);
-    auto C = ctx.constant(c);
-    auto T = ctx.texture(t);
-    auto S = ctx.template shared<float>(2 * 64);
-    const int tid = static_cast<int>(ctx.thread_idx().x);
-    const int i = ctx.global_thread_x();
-    S.st(static_cast<std::size_t>(tid) * 2, In.ld(i));
-    ctx.sync();
-    const float v = S.ld(static_cast<std::size_t>(tid) * 2);
-    Out.st(i, ctx.mad(v, C.ld(3), T.fetch(static_cast<std::size_t>(i) % t.size())));
-  }
+void expect_pinned(const char* what, std::uint64_t got, std::uint64_t pinned) {
+  EXPECT_EQ(got, pinned)
+      << what << ": digest " << digest_hex(got) << " != pinned "
+      << digest_hex(pinned)
+      << " -- the trace statistics changed; re-pinning needs a stated reason";
+}
+
+struct LaunchCase {
+  const char* name;
+  std::function<TraceObserved()> run;
+  std::uint64_t digest;
+  bool regroups;  // expects per-lane regrouping (a diverged stream)
 };
 
-// Lane-dependent trip count: lane i performs (i % 32) + 1 global stores at
-// the same site, so positional matching breaks mid-warp and every stream
-// goes through the dirty-reconstruction path.
-struct DivergentTripCountKernel {
-  template <class Ctx>
-  void operator()(Ctx& ctx, DeviceBuffer<float>& out) const {
-    auto O = ctx.global(out);
-    const int i = ctx.global_thread_x();
-    float v = 0;
-    for (int k = 0; k <= i % 32; ++k) {
-      v = ctx.add(v, 1.0f);
-      O.st(i, v);
-    }
-  }
-};
+const std::vector<LaunchCase>& launch_cases() {
+  static const std::vector<LaunchCase> cases = {
+      {"converged_multi_space", run_converged_multi_space,
+       0x56a671933df95cadull, false},
+      // Divergent, yet clean: every lane's stores are a prefix of the
+      // longest lane's (see the kernel).
+      {"divergent_trip_count", run_divergent_trip_count,
+       0x6a3fcdfb4b539d68ull, false},
+      {"half_warp_arms", run_half_warp_arms, 0xd205b1142c778c0cull, true},
+      {"scattered_store", run_scattered_store, 0xf1049adef561c330ull, false},
+      {"sanitizer_observed", run_sanitizer_observed, 0xc5bb530b7bd769fcull,
+       false},
+      {"scope_matmul", run_scope_matmul, 0xfd1a828124d555eeull, false},
+      {"pooled_matmul_w1", [] { return run_pooled_matmul(1); },
+       0x1d4654ddf6aeaf6eull, false},
+      {"pooled_matmul_w3", [] { return run_pooled_matmul(3); },
+       0x1d4654ddf6aeaf6eull, false},
+  };
+  return cases;
+}
 
-// Partially converged: half-warps branch to arms with DIFFERENT recorder
-// sites (distinct source lines), then rejoin for a common coalesced store.
-// The arm accesses diverge positionally; the rejoin store still matches on
-// lanes that took the first arm.
-struct HalfWarpArmsKernel {
-  template <class Ctx>
-  void operator()(Ctx& ctx, DeviceBuffer<float>& a, DeviceBuffer<float>& b,
-                  DeviceBuffer<float>& out) const {
-    auto A = ctx.global(a);
-    auto B = ctx.global(b);
-    auto O = ctx.global(out);
-    const int i = ctx.global_thread_x();
-    float v;
-    if (ctx.branch(i % 32 < 16)) {
-      v = A.ld(i);
+TEST(TraceGolden, RecorderRegimeLaunchesMatchPinnedDigests) {
+  for (const LaunchCase& c : launch_cases()) {
+    const TraceObserved o = c.run();
+    expect_pinned(c.name, launch_digest(kSpec, o.stats, o.sms), c.digest);
+    if (c.regroups) {
+      EXPECT_GT(o.stats.trace.regrouped_streams, 0u) << c.name;
     } else {
-      v = ctx.mul(B.ld(static_cast<std::size_t>(i) * 2 % b.size()), 2.0f);
+      EXPECT_EQ(o.stats.trace.regrouped_streams, 0u) << c.name;
     }
-    O.st(i, v);
-  }
-};
-
-// Uniform-looking kernel with mixed access sizes at distinct sites plus a
-// scattered (uncoalesced) store — exercises the coalescing analyzer's
-// serialized path through the SoA rows.
-struct ScatteredStoreKernel {
-  template <class Ctx>
-  void operator()(Ctx& ctx, DeviceBuffer<float>& in, DeviceBuffer<float>& out) const {
-    auto In = ctx.global(in);
-    auto Out = ctx.global(out);
-    const int i = ctx.global_thread_x();
-    Out.st(static_cast<std::size_t>(i) * 2 % out.size(), In.ld(i));
-  }
-};
-
-// Barrier-heavy kernel for the sanitizer-observed regime: the sanitize pass
-// attaches a BarrierObserver, and with g80check enabled the trace pass's
-// recording must still be invisible.
-struct StagedReduceKernel {
-  template <class Ctx>
-  void operator()(Ctx& ctx, DeviceBuffer<float>& in, DeviceBuffer<float>& out) const {
-    auto In = ctx.global(in);
-    auto Out = ctx.global(out);
-    auto S = ctx.template shared<float>(64);
-    const int t = static_cast<int>(ctx.thread_idx().x);
-    const int base = static_cast<int>(ctx.block_idx().x * ctx.block_dim().x);
-    S.st(t, In.ld(base + t));
-    ctx.sync();
-    for (int stride = 32; stride > 0; stride /= 2) {
-      if (ctx.branch(t < stride)) S.st(t, ctx.add(S.ld(t), S.ld(t + stride)));
-      ctx.sync();
-    }
-    if (ctx.branch(t == 0)) Out.st(ctx.block_idx().x, S.ld(0));
-  }
-};
-
-// ---- A/B harness ------------------------------------------------------------
-
-// Everything observable downstream of one launch.
-struct Observed {
-  std::vector<float> out;
-  LaunchStats stats;
-  prof::KernelCounters counters;
-  std::vector<scope::SmSeries> sms;  // empty unless a scope session attached
-};
-
-void expect_identical(const Observed& legacy, const Observed& batched) {
-  // Functional outputs byte-for-byte.
-  ASSERT_EQ(legacy.out.size(), batched.out.size());
-  EXPECT_EQ(std::memcmp(legacy.out.data(), batched.out.data(),
-                        legacy.out.size() * sizeof(float)),
-            0);
-  // The full trace summary: warp counters, instruction mix, DRAM traffic,
-  // cache behaviour, and the per-site attribution table.
-  EXPECT_TRUE(legacy.stats.trace == batched.stats.trace);
-  // Modeled timing.
-  EXPECT_EQ(legacy.stats.timing.seconds, batched.stats.timing.seconds);
-  EXPECT_EQ(legacy.stats.timing.kernel_cycles, batched.stats.timing.kernel_cycles);
-  EXPECT_EQ(legacy.stats.timing.bottleneck, batched.stats.timing.bottleneck);
-  // Every derived profiler counter.
-  EXPECT_TRUE(legacy.counters == batched.counters);
-  // Sanitizer accounting (observed launches).
-  EXPECT_EQ(legacy.stats.sanitizer.findings.size(),
-            batched.stats.sanitizer.findings.size());
-  EXPECT_EQ(legacy.stats.sanitizer.blocks_checked,
-            batched.stats.sanitizer.blocks_checked);
-  // Scope bucket series, per SM, element-exact.
-  ASSERT_EQ(legacy.sms.size(), batched.sms.size());
-  for (std::size_t s = 0; s < legacy.sms.size(); ++s) {
-    EXPECT_EQ(legacy.sms[s].issue_cycles, batched.sms[s].issue_cycles);
-    EXPECT_EQ(legacy.sms[s].serialization_cycles,
-              batched.sms[s].serialization_cycles);
-    EXPECT_EQ(legacy.sms[s].uncoalesced_cycles, batched.sms[s].uncoalesced_cycles);
-    EXPECT_EQ(legacy.sms[s].mem_stall_cycles, batched.sms[s].mem_stall_cycles);
-    EXPECT_EQ(legacy.sms[s].barrier_cycles, batched.sms[s].barrier_cycles);
-    EXPECT_EQ(legacy.sms[s].instructions, batched.sms[s].instructions);
-    EXPECT_EQ(legacy.sms[s].dram_bytes, batched.sms[s].dram_bytes);
   }
 }
 
-// Runs `one_launch` twice — legacy then batched recorder — and diffs.
-template <class Fn>
-void run_ab(Fn&& one_launch) {
-  Observed legacy, batched;
-  {
-    ScopedTraceBatch off(false);
-    legacy = one_launch();
-  }
-  {
-    ScopedTraceBatch on(true);
-    batched = one_launch();
-  }
-  expect_identical(legacy, batched);
-}
-
-// ---- Tests ------------------------------------------------------------------
-
-TEST(TraceBatch, ConvergedMultiSpaceKernelIsInvisible) {
-  run_ab([] {
-    Device dev;
-    const int n = 256;
-    auto in = dev.alloc<float>(n);
-    auto out = dev.alloc<float>(n);
-    auto c = dev.alloc_constant<float>(16);
-    auto t = dev.alloc_texture<float>(64);
-    std::vector<float> host(n);
-    for (int i = 0; i < n; ++i) host[i] = 0.5f * static_cast<float>(i);
-    in.copy_from_host(host);
-    std::vector<float> chost(16, 3.0f), thost(64, 0.25f);
-    c.copy_from_host(chost);
-    t.copy_from_host(thost);
-
-    prof::Profiler p;
-    LaunchOptions opt;
-    opt.prof.sink = &p;
-    opt.prof.kernel_name = "multi_space";
-    Observed o;
-    o.stats = launch(dev, Dim3(n / 64), Dim3(64), opt,
-                     ConvergedMultiSpaceKernel{}, in, c, t, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
-}
-
-TEST(TraceBatch, DivergentTripCountsFallBackExactly) {
-  run_ab([] {
-    Device dev;
-    const int n = 128;
-    auto out = dev.alloc<float>(n);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(2), Dim3(64), opt, DivergentTripCountKernel{}, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
-}
-
-TEST(TraceBatch, PartiallyConvergedArmsAreInvisible) {
-  run_ab([] {
-    Device dev;
-    const int n = 256;
-    auto a = dev.alloc<float>(n);
-    auto b = dev.alloc<float>(2 * n);
-    auto out = dev.alloc<float>(n);
-    std::vector<float> ha(n, 1.5f), hb(2 * n, 2.5f);
-    a.copy_from_host(ha);
-    b.copy_from_host(hb);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(2), Dim3(128), opt, HalfWarpArmsKernel{}, a, b, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
-}
-
-TEST(TraceBatch, ScatteredStoresKeepUncoalescedAccounting) {
-  run_ab([] {
-    Device dev;
-    const int n = 512;
-    auto in = dev.alloc<float>(n);
-    auto out = dev.alloc<float>(n);
-    std::vector<float> host(n, 1.0f);
-    in.copy_from_host(host);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(n / 64), Dim3(64), opt, ScatteredStoreKernel{},
-                     in, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
-}
-
-TEST(TraceBatch, SanitizerObservedLaunchIsInvisible) {
-  run_ab([] {
-    Device dev;
-    const int blocks = 4;
-    auto in = dev.alloc<float>(blocks * 64);
-    auto out = dev.alloc<float>(blocks);
-    std::vector<float> host(blocks * 64, 1.0f);
-    in.copy_from_host(host);
-    LaunchOptions opt;
-    opt.sanitize.enabled = true;
-    opt.sanitize.abort_on_error = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(blocks), Dim3(64), opt, StagedReduceKernel{},
-                     in, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
-}
-
-TEST(TraceBatch, ScopeSeriesMatchOnTheSectionFourMatmul) {
-  // The §4 matmul with a scope session attached: bucket series are derived
-  // from the trace pass, so they are the most sensitive downstream consumer.
-  run_ab([] {
-    Device dev;
-    const int n = 128, tile = 16;
-    const auto wl = apps::MatmulWorkload::generate(n, 7);
-    auto a = dev.alloc<float>(wl.a.size());
-    auto b = dev.alloc<float>(wl.b.size());
-    auto c = dev.alloc<float>(static_cast<std::size_t>(n) * n);
-    a.copy_from_host(wl.a);
-    b.copy_from_host(wl.b);
-    scope::Session session;
-    prof::Profiler p;
-    LaunchOptions opt;
-    opt.regs_per_thread = 9;
-    opt.scope.sink = &session;
-    opt.prof.sink = &p;
-    opt.prof.kernel_name = "matmul";
-    Observed o;
-    o.stats = launch(dev, Dim3(n / tile, n / tile), Dim3(tile, tile), opt,
-                     apps::MatmulTiledKernel{n, tile, /*unrolled=*/true}, a, b, c);
-    o.out = c.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    const auto launches = session.launches();
-    o.sms = launches.front().scope.sms;
-    return o;
-  });
-}
-
-TEST(TraceBatch, BlockParallelPoolsAgreeWithSequential) {
-  // Worker pools give each slot its own arena; per-block traces must merge
-  // to the same summary regardless of pool size and recorder path.
-  for (int workers : {1, 3}) {
-    run_ab([workers] {
-      Device dev;
-      const int n = 128, tile = 16;
-      const auto wl = apps::MatmulWorkload::generate(n, 11);
-      auto a = dev.alloc<float>(wl.a.size());
-      auto b = dev.alloc<float>(wl.b.size());
-      auto c = dev.alloc<float>(static_cast<std::size_t>(n) * n);
-      a.copy_from_host(wl.a);
-      b.copy_from_host(wl.b);
-      WorkerPool pool(workers);
-      LaunchOptions opt;
-      opt.regs_per_thread = 9;
-      opt.pool = workers > 1 ? &pool : nullptr;
-      opt.sample_blocks = 16;
-      Observed o;
-      o.stats = launch(dev, Dim3(n / tile, n / tile), Dim3(tile, tile), opt,
-                       apps::MatmulTiledKernel{n, tile, /*unrolled=*/true},
-                       a, b, c);
-      o.out = c.copy_to_host();
-      o.counters = prof::derive_counters(dev.spec(), o.stats);
-      return o;
-    });
+TEST(TraceGolden, SuiteAppsMatchPinnedDigests) {
+  struct AppPin {
+    const char* name;
+    std::uint64_t digest;
+  };
+  const AppPin pins[] = {
+      {"Matrix Mul", 0x3ea26235c73adb28ull}, {"SAXPY", 0x0ab688f0db2a623eull},
+      {"MRI-Q", 0xdb497fdf3c2735e7ull},      {"MRI-FHD", 0xdb263798868e9e2eull},
+      {"CP", 0x537ba9f2e196d1d1ull},         {"TPACF", 0xed8dd66c95261edbull},
+      {"RC5-72", 0xe47a7457e4b7ab07ull},     {"LBM", 0x6279bd28465f4367ull},
+      {"FDTD", 0x9909d4a7c2bf4464ull},       {"FEM", 0x79f58a830d69108eull},
+      {"PNS", 0x210ea061c87bfe6aull},        {"RPES", 0xbbafff62915c283dull},
+      {"H.264", 0x72aaac2fe643091aull},
+  };
+  const auto suite = apps::make_suite();
+  ASSERT_EQ(suite.size(), std::size(pins));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const AppResult r = suite[i]->run(kSpec, RunScale::kQuick);
+    ASSERT_EQ(r.info.name, pins[i].name);
+    expect_pinned(pins[i].name, app_digest(kSpec, r), pins[i].digest);
   }
 }
 

@@ -1,12 +1,13 @@
-// Regression tests for warp-level instruction reconstruction: per-lane
-// traces are regrouped by static call site + occurrence, which must stay
-// correct when divergent lanes execute different numbers of accesses (the
-// LBM halo-load pattern that motivated the design).
+// Regression tests for warp-level instruction reconstruction: diverged
+// lanes' accesses are regrouped by static call site + occurrence, which must
+// stay correct when divergent lanes execute different numbers of accesses
+// (the LBM halo-load pattern that motivated the design).
 #include <gtest/gtest.h>
 
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
+#include "cudalite/trace_arena.h"
 #include "cudalite/trace_collect.h"
 
 namespace g80 {
@@ -56,6 +57,9 @@ TEST(TraceGrouping, DivergentExtraAccessesDoNotMisalignStream) {
   // scattered 32 B transaction; store 128 B.
   EXPECT_EQ(s.trace.total.global.bytes, 4u * 128 + 64 + 32 + 128);
   EXPECT_EQ(s.trace.total.global.scattered_bytes, 32u);
+  // Lane 0's halo loads break positional matching: its global stream is
+  // the one the collector regroups per lane.
+  EXPECT_EQ(s.trace.regrouped_streams, 1u);
 }
 
 // The same site executed in a loop must produce one warp instruction per
@@ -117,25 +121,28 @@ TEST(TraceGrouping, BranchArmsAreSeparateInstructions) {
   EXPECT_EQ(s.trace.total.divergent_branches, 1u);
 }
 
-// Direct collector-level check with hand-built lanes.
+// Direct collector-level check with a hand-recorded arena.
 TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
   const auto spec = DeviceSpec::geforce_8800_gtx();
   std::vector<LaneTrace> lanes(32);
-  // All lanes: one access at site 7, perfectly coalesced.
+  TraceArena arena;
+  arena.begin_block(spec, 32);
+  WarpSpaceBatch& global = *arena.stream(0, kSpaceGlobal);
+  // All lanes: one access at site 7, perfectly coalesced.  Lane 3 first
+  // makes an extra access at site 9, which diverges it from the stream.
   for (int k = 0; k < 32; ++k) {
-    lanes[k].ops[OpClass::kLoadGlobal] = 1;
-    lanes[k].global.push_back({static_cast<std::uint64_t>(4 * k), 4, 7, true});
+    lanes[k].ops[OpClass::kLoadGlobal] = k == 3 ? 2 : 1;
+    if (k == 3) global.record(k, 9, 4, false, 4096);
+    global.record(k, 7, 4, false, static_cast<std::uint64_t>(4 * k));
   }
-  // Lane 3 only: an extra access at site 9.
-  lanes[3].ops[OpClass::kLoadGlobal] = 2;
-  lanes[3].global.insert(lanes[3].global.begin(), {4096, 4, 9, true});
 
-  const auto block = collect_block_trace(spec, lanes);
+  const auto block = collect_block_trace(spec, lanes, arena);
   ASSERT_EQ(block.warps.size(), 1u);
   const auto& w = block.warps[0];
   EXPECT_EQ(w.global_instructions, 2u);
   EXPECT_EQ(w.coalesced_instructions, 1u);       // the common site
   EXPECT_EQ(w.ops[OpClass::kLoadGlobal], 2u);    // max over lanes
+  EXPECT_EQ(block.regrouped_streams, 1u);
 }
 
 }  // namespace

@@ -1,0 +1,303 @@
+// Unit-level oracles for the trace pipeline's two representations of a
+// warp's memory accesses.
+//
+//  - Analyzers: every *_soa entry point (one trace-arena row) must produce
+//    exactly what its AoS twin produces on the expanded WarpAccess — same
+//    active lanes, sizes and addresses — for coalescing, bank conflicts,
+//    constant broadcast, and texture hits/misses on fresh caches probed in
+//    the same order.
+//  - Arena: random per-lane access sequences recorded through
+//    WarpSpaceBatch::record in thread order must come back out exactly:
+//    reconstruct_lane(k) is lane k's input, and a clean (positionally
+//    converged) stream's rows are the (site, occurrence) grouping
+//    group_warp_instructions computes from the inputs.
+//
+// Inputs vary active masks, access sizes 4/8/16, aligned / strided /
+// scattered addresses, warp sizes 2..32, and — for the arena — divergent
+// trip counts, mixed sizes at one site, branch-arm-specific sites and
+// barrier phases.  Fixed seeds keep failures reproducible.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <vector>
+
+#include "cudalite/trace_arena.h"
+#include "cudalite/trace_collect.h"
+#include "hw/device_spec.h"
+#include "mem/bank_conflict.h"
+#include "mem/coalescing.h"
+#include "mem/const_cache.h"
+#include "mem/texture_cache.h"
+
+namespace g80 {
+namespace {
+
+DeviceSpec spec_with_warp(int warp_size) {
+  DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
+  spec.warp_size = warp_size;
+  return spec;
+}
+
+int random_warp_size(std::mt19937& rng) {
+  return 2 * std::uniform_int_distribution<int>(1, 16)(rng);
+}
+
+std::uint32_t random_size(std::mt19937& rng) {
+  constexpr std::uint32_t kSizes[] = {4, 8, 16};
+  return kSizes[std::uniform_int_distribution<int>(0, 2)(rng)];
+}
+
+// ---- Analyzer oracle --------------------------------------------------------
+
+// One warp instruction in both layouts.  Inactive lanes' SoA address slots
+// hold garbage, so an analyzer that reads them shows up as a mismatch.
+struct WarpCase {
+  WarpAccess aos;
+  std::vector<std::uint64_t> addrs;
+  SoaWarpAccess soa;
+};
+
+WarpCase random_warp(std::mt19937& rng, int ws, std::uint64_t range) {
+  WarpCase c;
+  const std::uint32_t full = ws == 32 ? ~0u : (1u << ws) - 1u;
+  std::uint32_t mask = 0;
+  switch (std::uniform_int_distribution<int>(0, 3)(rng)) {
+    case 0: mask = full; break;
+    case 1: mask = 0; break;
+    default: mask = static_cast<std::uint32_t>(rng()) & full; break;
+  }
+  const std::uint32_t size = random_size(rng);
+  // Aligned line, a small stride (2 = bank/segment conflicts), one shared
+  // address (broadcast), or scattered.
+  const int pattern = std::uniform_int_distribution<int>(0, 3)(rng);
+  const std::uint64_t line = 16ull * size;
+  std::uint64_t base =
+      std::uniform_int_distribution<std::uint64_t>(0, range / 2)(rng);
+  if (pattern == 0) base -= base % line;
+  const std::uint64_t stride = std::uniform_int_distribution<int>(1, 3)(rng);
+
+  c.aos.assign(static_cast<std::size_t>(ws), MemAccess{});
+  c.addrs.assign(static_cast<std::size_t>(ws), 0xdeadbeefull);
+  for (int k = 0; k < ws; ++k) {
+    if (!(mask & (1u << k))) continue;
+    std::uint64_t addr = 0;
+    switch (pattern) {
+      case 0: addr = base + static_cast<std::uint64_t>(k) * size; break;
+      case 1: addr = base + static_cast<std::uint64_t>(k) * stride * size; break;
+      case 2: addr = base; break;
+      default:
+        addr = std::uniform_int_distribution<std::uint64_t>(0, range)(rng) /
+               size * size;
+        break;
+    }
+    c.addrs[static_cast<std::size_t>(k)] = addr;
+    c.aos[static_cast<std::size_t>(k)] = {addr, size, 1, true, false};
+  }
+  c.soa = SoaWarpAccess{mask, size, nullptr, ws};
+  return c;
+}
+
+TEST(AnalyzerOracle, SoaEntryPointsMatchAosTwins) {
+  std::mt19937 rng(20080220);
+  for (int it = 0; it < 3000; ++it) {
+    const int ws = random_warp_size(rng);
+    const DeviceSpec spec = spec_with_warp(ws);
+
+    WarpCase g = random_warp(rng, ws, 1 << 20);
+    g.soa.addrs = g.addrs.data();
+    const CoalesceResult a = analyze_warp(spec, g.aos);
+    const CoalesceResult b = analyze_warp_soa(spec, g.soa);
+    EXPECT_EQ(a.transactions, b.transactions) << "ws=" << ws << " it=" << it;
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes) << "ws=" << ws << " it=" << it;
+    EXPECT_EQ(a.scattered_bytes, b.scattered_bytes) << "ws=" << ws;
+    EXPECT_EQ(a.useful_bytes, b.useful_bytes) << "ws=" << ws << " it=" << it;
+    EXPECT_EQ(a.coalesced, b.coalesced) << "ws=" << ws << " it=" << it;
+
+    WarpCase s = random_warp(rng, ws, spec.shared_mem_per_sm);
+    s.soa.addrs = s.addrs.data();
+    const WarpBankCost sa = analyze_shared_warp(spec, s.aos);
+    const WarpBankCost sb = analyze_shared_warp_soa(spec, s.soa);
+    EXPECT_EQ(sa.passes, sb.passes) << "ws=" << ws << " it=" << it;
+    EXPECT_EQ(sa.extra_passes, sb.extra_passes) << "ws=" << ws << " it=" << it;
+
+    WarpCase k = random_warp(rng, ws, 64 * 1024);
+    k.soa.addrs = k.addrs.data();
+    const WarpConstCost ka = analyze_const_warp(spec, k.aos);
+    const WarpConstCost kb = analyze_const_warp_soa(spec, k.soa);
+    EXPECT_EQ(ka.passes, kb.passes) << "ws=" << ws << " it=" << it;
+    EXPECT_EQ(ka.extra_passes, kb.extra_passes) << "ws=" << ws << " it=" << it;
+  }
+}
+
+TEST(AnalyzerOracle, TextureWarpProbesMatchPerLaneProbes) {
+  std::mt19937 rng(1729);
+  for (int it = 0; it < 200; ++it) {
+    const int ws = random_warp_size(rng);
+    const DeviceSpec spec = spec_with_warp(ws);
+    // A stream of warp instructions over a working set near the cache size,
+    // so hits, misses and evictions all occur.
+    TextureCache per_lane(spec), per_warp(spec);
+    for (int j = 0; j < 24; ++j) {
+      WarpCase t = random_warp(rng, ws, 3 * spec.texture_cache_bytes);
+      t.soa.addrs = t.addrs.data();
+      std::uint64_t hits = 0, misses = 0;
+      for (const MemAccess& a : t.aos) {
+        if (!a.active) continue;
+        if (per_lane.access(a.addr)) ++hits;
+        else ++misses;
+      }
+      const auto r = per_warp.access_warp_soa(t.soa);
+      EXPECT_EQ(hits, r.hits) << "ws=" << ws << " it=" << it << " j=" << j;
+      EXPECT_EQ(misses, r.misses) << "ws=" << ws << " it=" << it << " j=" << j;
+    }
+    EXPECT_EQ(per_lane.hits(), per_warp.hits());
+    EXPECT_EQ(per_lane.misses(), per_warp.misses());
+  }
+}
+
+// ---- Arena oracle -----------------------------------------------------------
+
+void expect_same_access(const MemAccess& a, const MemAccess& b,
+                        const char* what, int lane, std::size_t j) {
+  EXPECT_EQ(a.addr, b.addr) << what << " lane " << lane << " #" << j;
+  EXPECT_EQ(a.size, b.size) << what << " lane " << lane << " #" << j;
+  EXPECT_EQ(a.site, b.site) << what << " lane " << lane << " #" << j;
+  EXPECT_EQ(a.active, b.active) << what << " lane " << lane << " #" << j;
+  EXPECT_EQ(a.store, b.store) << what << " lane " << lane << " #" << j;
+}
+
+// One static memory instruction of a random warp program.
+struct Op {
+  enum Kind { kUniform, kArm, kLoop, kMixedSize } kind = kUniform;
+  std::uint32_t site = 0;
+  std::uint32_t size = 4;
+  bool store = false;
+  std::uint32_t arm_mask = 0;  // kArm: lanes taking this arm
+  int trip_mod = 1;            // kLoop: lane k runs (k % trip_mod) + 1 times
+};
+
+// Per-lane access sequences of one random program, split into barrier
+// phases: phases[p][k] is lane k's accesses in phase p.
+using Phases = std::vector<std::vector<std::vector<MemAccess>>>;
+
+Phases random_program(std::mt19937& rng, int lane_count, bool divergent) {
+  const int num_phases = std::uniform_int_distribution<int>(1, 3)(rng);
+  Phases phases(static_cast<std::size_t>(num_phases),
+                std::vector<std::vector<MemAccess>>(
+                    static_cast<std::size_t>(lane_count)));
+  std::uint32_t next_site = 1;
+  for (auto& phase : phases) {
+    const int ops = std::uniform_int_distribution<int>(1, 6)(rng);
+    for (int o = 0; o < ops; ++o) {
+      Op op;
+      op.kind = divergent ? static_cast<Op::Kind>(
+                                std::uniform_int_distribution<int>(0, 3)(rng))
+                          : Op::kUniform;
+      // Loops revisit one site; other ops sometimes reuse an earlier site,
+      // as a kernel's second call through one helper would.
+      op.site = next_site > 1 && rng() % 4 == 0
+                    ? std::uniform_int_distribution<std::uint32_t>(
+                          1, next_site - 1)(rng)
+                    : next_site++;
+      op.size = random_size(rng);
+      op.store = rng() % 3 == 0;
+      op.arm_mask = static_cast<std::uint32_t>(rng());
+      op.trip_mod = std::uniform_int_distribution<int>(1, 5)(rng);
+      const std::uint64_t base = (rng() % 4096) * 64;
+      for (int k = 0; k < lane_count; ++k) {
+        auto& seq = phase[static_cast<std::size_t>(k)];
+        const std::uint64_t addr = base + static_cast<std::uint64_t>(k) * 4;
+        switch (op.kind) {
+          case Op::kUniform:
+            seq.push_back({addr, op.size, op.site, true, op.store});
+            break;
+          case Op::kArm:
+            // The lanes not taking this arm run a sibling arm's site.
+            if (op.arm_mask & (1u << k))
+              seq.push_back({addr, op.size, op.site, true, op.store});
+            else
+              seq.push_back({addr, op.size, op.site + 1000, true, op.store});
+            break;
+          case Op::kLoop:
+            for (int t = 0; t <= k % op.trip_mod; ++t)
+              seq.push_back({addr + static_cast<std::uint64_t>(t) * 256,
+                             op.size, op.site, true, op.store});
+            break;
+          case Op::kMixedSize:
+            seq.push_back({addr, k % 2 == 0 ? op.size : (op.size == 4 ? 8 : 4),
+                           op.site, true, op.store});
+            break;
+        }
+      }
+    }
+  }
+  return phases;
+}
+
+TEST(ArenaOracle, RecordedStreamsReconstructAndGroupExactly) {
+  std::mt19937 rng(8800);
+  int clean = 0, dirty = 0;
+  TraceArena arena;
+  for (int it = 0; it < 600; ++it) {
+    const int ws = random_warp_size(rng);
+    const int lane_count = std::uniform_int_distribution<int>(1, ws)(rng);
+    const bool divergent = rng() % 2 == 0;
+    const Phases phases = random_program(rng, lane_count, divergent);
+
+    // Record as the block runner does: phase by phase, lanes in thread
+    // order within a phase.  The arena is reused across iterations.
+    arena.begin_block(spec_with_warp(ws), lane_count);
+    WarpSpaceBatch& s = *arena.stream(0, kSpaceGlobal);
+    std::vector<std::vector<MemAccess>> lanes(
+        static_cast<std::size_t>(lane_count));
+    for (const auto& phase : phases) {
+      for (int k = 0; k < lane_count; ++k) {
+        for (const MemAccess& a : phase[static_cast<std::size_t>(k)]) {
+          s.record(k, a.site, a.size, a.store, a.addr);
+          lanes[static_cast<std::size_t>(k)].push_back(a);
+        }
+      }
+    }
+
+    // reconstruct_lane(k) is exactly lane k's input.
+    std::vector<MemAccess> got;
+    for (int k = 0; k < lane_count; ++k) {
+      s.reconstruct_lane(k, &got);
+      const auto& want = lanes[static_cast<std::size_t>(k)];
+      ASSERT_EQ(got.size(), want.size()) << "it=" << it << " lane " << k;
+      for (std::size_t j = 0; j < want.size(); ++j)
+        expect_same_access(got[j], want[j], "reconstruct", k, j);
+    }
+
+    // A converged program never leaves the positional fast path.
+    EXPECT_TRUE(divergent || !s.dirty()) << "it=" << it;
+    if (s.dirty()) {
+      ++dirty;
+      continue;
+    }
+    ++clean;
+    // A clean stream's rows are the (site, occurrence) grouping.
+    const auto groups = group_warp_instructions(lanes.data(), lane_count, ws);
+    ASSERT_EQ(s.rows(), groups.size()) << "it=" << it;
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+      const std::uint64_t key = s.keys[j];
+      ASSERT_EQ(groups[j].size(), static_cast<std::size_t>(ws));
+      for (int k = 0; k < ws; ++k) {
+        const MemAccess& g = groups[j][static_cast<std::size_t>(k)];
+        const bool in_row = (s.masks[j] >> k) & 1u;
+        ASSERT_EQ(in_row, g.active) << "it=" << it << " row " << j;
+        if (!g.active) continue;
+        const MemAccess row{s.row_addrs(j)[k], trace_key_size(key),
+                            trace_key_site(key), true, trace_key_store(key)};
+        expect_same_access(row, g, "row", k, j);
+      }
+    }
+  }
+  // Both collector paths were exercised.
+  EXPECT_GT(clean, 100);
+  EXPECT_GT(dirty, 100);
+}
+
+}  // namespace
+}  // namespace g80
