@@ -27,7 +27,6 @@ int main() {
 
   LaunchOptions opt;
   opt.regs_per_thread = 10;
-  opt.uses_sync = false;
   opt.functional = false;
   const Dim3 block(16, 16);
   const Dim3 grid(grid_dim / 16, grid_dim / 16);

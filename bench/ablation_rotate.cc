@@ -27,7 +27,6 @@ int main() {
 
   LaunchOptions opt;
   opt.regs_per_thread = 42;
-  opt.uses_sync = false;
   opt.functional = false;
   const std::uint32_t threads_total = w.num_keys / kernel.keys_per_thread;
   const Dim3 block(192);

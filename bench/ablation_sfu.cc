@@ -33,7 +33,6 @@ int main() {
 
   LaunchOptions opt;
   opt.regs_per_thread = 11;
-  opt.uses_sync = false;
   opt.functional = false;  // timing-only; functional equivalence is tested
   const Dim3 block(256);
   const Dim3 grid(static_cast<unsigned>((voxels + 255) / 256));

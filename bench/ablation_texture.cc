@@ -36,7 +36,6 @@ int main() {
 
   LaunchOptions opt;
   opt.regs_per_thread = 24;
-  opt.uses_sync = false;
   opt.functional = false;
   const Dim3 block(128);
   const Dim3 grid(static_cast<unsigned>((num_sims + 127) / 128));

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
 
   LaunchOptions opt;
   opt.regs_per_thread = 6;
-  opt.uses_sync = false;
   opt.functional = false;
   const Dim3 block(256);
   const Dim3 grid(static_cast<unsigned>(n / 256));

@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
   rt::Stream s1 = r.stream_create();
 
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.prof.kernel_name = "scale2";
   r.memcpy_h2d_async(s0, d0, host);
   r.launch_async(s0, Dim3(m / 256), Dim3(256), opt, nullptr,

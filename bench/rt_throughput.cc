@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
   const int sn = 1 << 18;  // 1 MB buffers per pipeline
   std::vector<float> host(sn, 1.0f);
   LaunchOptions sopt;
-  sopt.uses_sync = false;
 
   auto run_pipelines = [&](int nstreams, double* modeled_total,
                            double* modeled_serialized) {

@@ -48,15 +48,16 @@ void BM_BlockBarrierRound(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockBarrierRound)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_DirectModeBlock(benchmark::State& state) {
+// A block that never reaches a barrier: one fiber carries every thread.
+void BM_BarrierFreeBlock(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  BlockRunner runner(1, 16 * 1024);
+  BlockRunner runner(threads, 16 * 1024);
   for (auto _ : state) {
-    runner.run_direct(threads, [](int) {});
+    runner.run(threads, [](int) {});
   }
   state.SetItemsProcessed(state.iterations() * threads);
 }
-BENCHMARK(BM_DirectModeBlock)->Arg(128)->Arg(512);
+BENCHMARK(BM_BarrierFreeBlock)->Arg(128)->Arg(512);
 
 void BM_CoalescingAnalyzer(benchmark::State& state) {
   WarpAccess w(32);
@@ -105,7 +106,6 @@ void BM_FunctionalLaunch(benchmark::State& state) {
   auto a = dev.alloc<float>(blocks * 256);
   auto b = dev.alloc<float>(blocks * 256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 0;  // functional pass only
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -144,7 +144,6 @@ void BM_TracedLaunch(benchmark::State& state) {
   auto a = dev.alloc<float>(64 * 256);
   auto b = dev.alloc<float>(64 * 256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.functional = false;
   opt.sample_blocks = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -38,7 +38,6 @@ int main() {
     auto out = dev.alloc<float>(len);
     LaunchOptions opt;
     opt.regs_per_thread = 5;
-    opt.uses_sync = false;
     opt.functional = false;
     const auto sx = launch(dev, Dim3(static_cast<unsigned>(len / 256)),
                            Dim3(256), opt,

@@ -45,7 +45,6 @@ int main() {
 
   LaunchOptions opt;
   opt.regs_per_thread = 11;
-  opt.uses_sync = false;
   const Dim3 block(256), grid(voxels / 256);
   const auto q_stats = launch(dev, grid, block, opt, MriQKernel{voxels, true},
                               dx, dy, dz, dk, dqr, dqi);

@@ -45,7 +45,6 @@ int main() {
 
   LaunchOptions opt;
   opt.regs_per_thread = 24;
-  opt.uses_sync = false;
   const auto stats = launch(dev, Dim3(num_sims / 128), Dim3(128), opt, kernel,
                             d_init, d_in_g, d_out_g, d_in_t, d_out_t,
                             d_marking, d_fired);

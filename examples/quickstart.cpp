@@ -55,7 +55,6 @@ int main() {
   // 3. Launch: grid/block geometry exactly like CUDA.
   LaunchOptions opt;
   opt.regs_per_thread = 5;
-  opt.uses_sync = false;  // no __syncthreads -> fast execution path
   const auto stats = launch(dev, Dim3(n / 256), Dim3(256), opt,
                             VectorScaleAdd{3.0f, n}, x, out);
 

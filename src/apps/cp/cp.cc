@@ -78,7 +78,6 @@ AppResult CpApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 10;
-  opt.uses_sync = false;
   const Dim3 block(16, 16);
   const Dim3 grid(static_cast<unsigned>(grid_dim / 16),
                   static_cast<unsigned>(grid_dim / 16));

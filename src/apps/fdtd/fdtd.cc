@@ -168,7 +168,6 @@ AppResult FdtdApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 16;
-  opt.uses_sync = false;
   const Dim3 block(static_cast<unsigned>(std::min(p.nx, 128)));
   const Dim3 grid(static_cast<unsigned>(p.nx / block.x),
                   static_cast<unsigned>(p.ny * p.nz));

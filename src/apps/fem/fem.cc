@@ -140,7 +140,6 @@ AppResult FemApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 12;
-  opt.uses_sync = false;
   const Dim3 block(256);
   const Dim3 grid(static_cast<unsigned>((nodes + 255) / 256));
 

@@ -139,7 +139,6 @@ LaunchStats lbm_gpu(Device& dev, const LbmParams& p, LbmLayout layout,
 
   LaunchOptions opt;
   opt.regs_per_thread = 32;  // per-cell moments + loop state
-  opt.uses_sync = layout == LbmLayout::kSoAStaged;
   const Dim3 block(static_cast<unsigned>(nt));
   const Dim3 grid(static_cast<unsigned>(p.nx / nt),
                   static_cast<unsigned>(p.ny * p.nz));

@@ -80,7 +80,6 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
   if (cfg.variant == MatmulVariant::kNaive ||
       cfg.variant == MatmulVariant::kNaiveUnrolled) {
     G80_CHECK_MSG(n % 16 == 0, "matrix size must be a multiple of 16");
-    opt.uses_sync = false;
     const Dim3 block(16, 16);
     const Dim3 grid(static_cast<unsigned>(n / 16), static_cast<unsigned>(n / 16));
     const MatmulNaiveKernel k{n, cfg.variant == MatmulVariant::kNaiveUnrolled};

@@ -72,7 +72,6 @@ AppResult MriFhdApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 12;
-  opt.uses_sync = false;
   const Dim3 block(256);
   const Dim3 grid(static_cast<unsigned>((voxels + 255) / 256));
   const auto stats = launch(dev, grid, block, opt, MriFhdKernel{voxels},

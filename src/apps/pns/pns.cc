@@ -121,7 +121,6 @@ AppResult PnsApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 24;
-  opt.uses_sync = false;
   const Dim3 block(128);
   const Dim3 grid(static_cast<unsigned>((num_sims + 127) / 128));
   const auto stats = launch(dev, grid, block, opt, kernel, d_init, d_in_g,

@@ -108,7 +108,6 @@ AppResult Rc5App::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 42;  // the 26-word schedule largely lives in registers
-  opt.uses_sync = false;
   const std::uint32_t threads_total =
       (w.num_keys + kernel.keys_per_thread - 1) / kernel.keys_per_thread;
   const Dim3 block(192);  // 42 regs x 192 thr: one block short of the file

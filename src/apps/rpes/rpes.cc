@@ -118,7 +118,6 @@ AppResult RpesApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 16;
-  opt.uses_sync = false;
   const Dim3 block(16, 16);
   const Dim3 grid(static_cast<unsigned>(pairs / 16),
                   static_cast<unsigned>(pairs / 16));

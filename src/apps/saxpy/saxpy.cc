@@ -61,7 +61,6 @@ AppResult SaxpyApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   LaunchOptions opt;
   opt.regs_per_thread = 5;
-  opt.uses_sync = false;
   const Dim3 block(256);
   const Dim3 grid(static_cast<unsigned>((n + block.x - 1) / block.x));
   const auto stats = launch(dev, grid, block, opt,

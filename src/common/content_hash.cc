@@ -44,7 +44,6 @@ std::uint64_t launch_config_hash(const LaunchConfig& c) {
   h.i64(c.regs_per_thread);
   h.i64(c.sample_blocks);
   h.boolean(c.functional);
-  h.boolean(c.uses_sync);
   return h.digest();
 }
 

@@ -68,7 +68,6 @@ struct LaunchConfig {
   int regs_per_thread = 10;
   int sample_blocks = 4;   // trace-pass sample size
   bool functional = true;  // run the full functional pass
-  bool uses_sync = true;   // kernel calls __syncthreads
 
   std::uint64_t threads_per_block() const {
     return static_cast<std::uint64_t>(block_x) * block_y * block_z;

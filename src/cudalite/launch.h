@@ -12,6 +12,11 @@
 // block granularity — true of this entire suite (each block writes a
 // disjoint output region from inputs that the launch does not mutate).
 //
+// Every pass runs each block through BlockRunner::run, whether or not the
+// kernel calls __syncthreads: as on the G80, a barrier is just an
+// instruction, and nothing declares it at launch time.  The runner sees for
+// itself which threads park, so a barrier-free block runs on one fiber.
+//
 // For very large grids (the 4096x4096 matmul of §4) callers disable the
 // functional pass and rely on the trace sample for timing; functional
 // correctness is established separately at smaller sizes by the test suite.
@@ -113,11 +118,6 @@ struct LaunchOptions {
   int sample_blocks = 4;
   // Run the functional pass over the full grid.
   bool functional = true;
-  // Kernel calls __syncthreads.  Setting this false enables a much faster
-  // fiber-less execution path; a kernel that then syncs anyway throws.
-  bool uses_sync = true;
-  // Fiber stack size for kernel threads.
-  std::size_t stack_bytes = 128 * 1024;
   // Fiber switch engine for this launch's BlockRunners: the hand-rolled
   // stack switch (default on non-sanitized x86-64) or the legacy glibc
   // ucontext engine.  Semantics are identical; only switch cost differs.
@@ -199,13 +199,12 @@ std::vector<std::uint64_t> pick_sample_blocks(std::uint64_t total, int n);
 class RunnerSet {
  public:
   RunnerSet(BlockRunner* primary, int slots, int max_threads,
-            std::size_t smem_capacity, std::size_t stack_bytes,
+            std::size_t smem_capacity,
             Fiber::Backend backend = Fiber::default_backend())
       : primary_(primary),
         extras_(static_cast<std::size_t>(std::max(0, slots - 1))),
         max_threads_(max_threads),
         smem_capacity_(smem_capacity),
-        stack_bytes_(stack_bytes),
         backend_(backend) {}
 
   BlockRunner& at(int slot) {
@@ -213,7 +212,7 @@ class RunnerSet {
     auto& r = extras_[static_cast<std::size_t>(slot - 1)];
     if (!r)
       r = std::make_unique<BlockRunner>(max_threads_, smem_capacity_,
-                                        stack_bytes_, backend_);
+                                        backend_);
     return *r;
   }
 
@@ -232,7 +231,6 @@ class RunnerSet {
   std::vector<std::unique_ptr<BlockRunner>> extras_;
   int max_threads_;
   std::size_t smem_capacity_;
-  std::size_t stack_bytes_;
   Fiber::Backend backend_;
 };
 
@@ -350,20 +348,10 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   const int slots =
       pool != nullptr && pool->width() > 1 ? pool->width() : 1;
 
-  BlockRunner runner(opt.uses_sync ? threads : 1, spec.shared_mem_per_sm,
-                     opt.stack_bytes, opt.fiber_backend);
+  BlockRunner runner(threads, spec.shared_mem_per_sm, opt.fiber_backend);
   runner.set_cancel_token(cancel);
-  detail::RunnerSet runners(&runner, slots, opt.uses_sync ? threads : 1,
-                            spec.shared_mem_per_sm, opt.stack_bytes,
+  detail::RunnerSet runners(&runner, slots, threads, spec.shared_mem_per_sm,
                             opt.fiber_backend);
-  const auto run_block = [&](BlockRunner& r,
-                             const std::function<void(int)>& body) {
-    if (opt.uses_sync) {
-      r.run(threads, body);
-    } else {
-      r.run_direct(threads, body);
-    }
-  };
 
   stats.grid = grid;
   stats.block = block;
@@ -398,7 +386,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
             arena.begin_block(spec, threads);
             BlockEnv env{&r, grid, block,
                          delinearize(static_cast<unsigned>(samples[i]), grid)};
-            run_block(r, [&](int tid) {
+            r.run(threads, [&](int tid) {
               TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], arena, tid));
               kernel(ctx, args...);
             });
@@ -445,7 +433,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
         BlockEnv env{&runner, grid, block,
                      delinearize(static_cast<unsigned>(b), grid)};
         san.begin_block(b);
-        run_block(runner, [&](int tid) {
+        runner.run(threads, [&](int tid) {
           SanitizeCtx ctx(&env, tid, SanitizerRecorder(&san, tid));
           kernel(ctx, args...);
         });
@@ -474,7 +462,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
             r.set_cancel_token(cancel);
             BlockEnv env{&r, grid, block,
                          delinearize(static_cast<unsigned>(b), grid)};
-            run_block(r, [&](int tid) {
+            r.run(threads, [&](int tid) {
               FuncCtx ctx(&env, tid, NullRecorder{});
               kernel(ctx, args...);
             });

@@ -1,21 +1,13 @@
 #include "exec/block_runner.h"
 
-#include <algorithm>
-
 namespace g80 {
 
 SharedArena::SharedArena(std::size_t capacity_bytes) : storage_(capacity_bytes) {}
 
-void SharedArena::begin_block() {
+void SharedArena::begin_block(int num_threads) {
   layout_.clear();
   layout_end_ = 0;
-  std::fill(cursor_.begin(), cursor_.end(), 0);
-}
-
-void SharedArena::begin_thread(int tid) {
-  if (static_cast<std::size_t>(tid) >= cursor_.size())
-    cursor_.resize(tid + 1, 0);
-  cursor_[tid] = 0;
+  cursor_.assign(num_threads, 0);
 }
 
 std::byte* SharedArena::allocate(int tid, std::size_t bytes) {
@@ -40,34 +32,67 @@ std::byte* SharedArena::allocate(int tid, std::size_t bytes) {
 }
 
 BlockRunner::BlockRunner(int max_threads, std::size_t smem_capacity,
-                         std::size_t stack_bytes, Fiber::Backend backend)
-    : stack_bytes_(stack_bytes), backend_(backend), shared_(smem_capacity) {
-  fibers_.reserve(max_threads);
+                         Fiber::Backend backend)
+    : backend_(backend), shared_(smem_capacity) {
+  thread_fiber_.reserve(max_threads);
   status_.reserve(max_threads);
 }
 
-void BlockRunner::lane_entry(void* arg) {
-  const auto* lane = static_cast<const LaneArg*>(arg);
-  (*lane->runner->body_)(lane->tid);
+void BlockRunner::fiber_entry(void* arg) {
+  auto* self = static_cast<BlockRunner*>(arg);
+  const std::function<void(int)>& body = *self->body_;
+  const int num_threads = static_cast<int>(self->status_.size());
+  int tid = self->current_;
+  Fiber* fiber = self->thread_fiber_[tid];
+  for (;;) {
+    body(tid);
+    // Once every thread has started, run() retires tid and this fiber.
+    if (self->started_ == num_threads) return;
+    // Otherwise this is the first pass and tid, which never parked, is the
+    // last thread started: the pass continues with the next unstarted
+    // thread, on this stack, without a switch.
+    self->finish_thread(tid);
+    // Cancellation point between threads, for blocks with no barrier.
+    if (self->cancel_ != nullptr) self->cancel_->check("block thread loop");
+    tid = self->started_++;
+    self->current_ = tid;
+    self->thread_fiber_[tid] = fiber;
+  }
+}
+
+Fiber& BlockRunner::claim_fiber(int tid) {
+  if (claimed_ == fibers_.size())
+    fibers_.push_back(std::make_unique<Fiber>(kStackBytes, backend_));
+  Fiber* fiber = fibers_[claimed_++].get();
+  ++started_;
+  thread_fiber_[tid] = fiber;
+  fiber->start(&BlockRunner::fiber_entry, this);
+  return *fiber;
+}
+
+void BlockRunner::finish_thread(int tid) {
+  status_[tid] = ThreadStatus::kDone;
+  --live_;
+  if (observer_ != nullptr) exited_this_interval_.push_back(tid);
 }
 
 void BlockRunner::sync(int tid, SyncPoint at) {
-  G80_RAISE_IF(direct_mode_, Status::kInvalidConfiguration,
-               "__syncthreads called in a launch declared barrier-free "
-               "(LaunchOptions::uses_sync == false)");
   status_.at(tid) = ThreadStatus::kAtBarrier;
   // Park-site bookkeeping feeds BarrierSnapshot only; unobserved runs skip
   // the store (sync_points_ is not even sized then).
   if (observer_ != nullptr) sync_points_[tid] = at;
-  // Hand control straight to the next thread of this pass; only the pass's
-  // last thread goes back to run().  The release that resumes this thread
-  // has already flipped it back to kRunning.
+  // Hand control straight to the next thread of this pass, claiming it a
+  // fiber if the pass has not reached it before; only the pass's last
+  // thread goes back to run().  This thread keeps its fiber while parked,
+  // and the release that resumes it has already flipped it back to
+  // kRunning.
+  Fiber& self = *thread_fiber_[tid];
   const int next = next_running(tid + 1);
   if (next < static_cast<int>(status_.size())) {
     current_ = next;
-    fibers_[tid]->yield_to(*fibers_[next]);
+    self.yield_to(next < started_ ? *thread_fiber_[next] : claim_fiber(next));
   } else {
-    fibers_[tid]->yield();
+    self.yield();
   }
 }
 
@@ -77,48 +102,20 @@ int BlockRunner::next_running(int from) const {
   return from;
 }
 
-void BlockRunner::run_direct(int num_threads,
-                             const std::function<void(int)>& body) {
-  G80_CHECK(num_threads > 0);
-  direct_mode_ = true;
-  shared_.begin_block();
-  barriers_executed_ = 0;
-  for (int t = 0; t < num_threads; ++t) {
-    // Cancellation point between threads (no barriers exist in this mode).
-    if (cancel_ != nullptr) cancel_->check("direct-mode thread loop");
-    shared_.begin_thread(t);
-    body(t);
-  }
-  direct_mode_ = false;
-}
-
 void BlockRunner::run(int num_threads, const std::function<void(int)>& body) {
   G80_CHECK(num_threads > 0);
-  direct_mode_ = false;
-  while (static_cast<int>(fibers_.size()) < num_threads)
-    fibers_.push_back(std::make_unique<Fiber>(stack_bytes_, backend_));
   status_.assign(num_threads, ThreadStatus::kRunning);
+  thread_fiber_.resize(num_threads);
   if (observer_ != nullptr) sync_points_.assign(num_threads, SyncPoint{});
   exited_this_interval_.clear();
-  shared_.begin_block();
+  shared_.begin_block(num_threads);
   barriers_executed_ = 0;
-
-  // Arm one fiber per lane through the raw entry point: the body lives once
-  // on the runner and each lane carries a stable (runner, tid) pair, so
-  // arming a 256-thread block allocates nothing.  Resize before arming —
-  // the fibers hold pointers into lane_args_, so it must not move later.
   body_ = &body;
-  if (static_cast<int>(lane_args_.size()) < num_threads) {
-    lane_args_.resize(num_threads);
-    for (int t = 0; t < num_threads; ++t) lane_args_[t] = LaneArg{this, t};
-  }
-  for (int t = 0; t < num_threads; ++t) {
-    shared_.begin_thread(t);
-    fibers_[t]->start(&BlockRunner::lane_entry, &lane_args_[t]);
-  }
+  started_ = 0;
+  live_ = num_threads;
+  claimed_ = 0;
 
-  int live = num_threads;
-  while (live > 0) {
+  while (live_ > 0) {
     // Cancellation point (g80resil): the scheduler regains control between
     // barrier generations, so a fired watchdog preempts even a block whose
     // threads synchronize forever.  Suspended fibers are abandoned here and
@@ -126,21 +123,20 @@ void BlockRunner::run(int num_threads, const std::function<void(int)>& body) {
     if (cancel_ != nullptr) cancel_->check("block barrier scheduler");
     // One scheduling pass: advance every live thread, in thread-index order,
     // to its next barrier or exit.  Invariant at pass start: every live
-    // thread is kRunning (fresh arm, or the release below flipped it back).
-    // A thread that parks hands off to the next one itself (see sync()), so
-    // resume() returns only when a thread exits, throws, or parks last;
+    // thread is kRunning (not yet started, or the release below flipped it
+    // back).  A thread that parks hands off to the next one itself (see
+    // sync()), and a fiber whose thread exits in the first pass carries on
+    // with the next thread (see fiber_entry()), so resume() returns only
+    // when a thread exits once all have started, throws, or parks last;
     // current_ names that thread and the pass continues after it.
     for (int t = next_running(0); t < num_threads;
          t = next_running(current_ + 1)) {
       current_ = t;
-      if (fibers_[t]->resume() == Fiber::State::kDone) {
-        status_[current_] = ThreadStatus::kDone;
-        --live;
-        if (observer_) exited_this_interval_.push_back(current_);
-      }
+      Fiber& fiber = t < started_ ? *thread_fiber_[t] : claim_fiber(t);
+      if (fiber.resume() == Fiber::State::kDone) finish_thread(current_);
       // kSuspended means the pass's last thread parked in sync().
     }
-    if (live == 0) break;
+    if (live_ == 0) break;
 
     // After a pass every live thread is parked at the barrier (a pass only
     // ends a thread Done or AtBarrier), so the barrier releases.  Threads

@@ -18,6 +18,15 @@
 // the barrier.  Observed and unobserved runs take the same pass, so results
 // are bit-identical by construction.
 //
+// Fibers are claimed lazily, so no caller declares whether its kernel has
+// barriers.  A thread gets a fiber when the first pass reaches it, and one
+// fiber may carry several consecutive threads: a thread that exits without
+// parking hands its stack on to the next thread (in the first pass the
+// thread that just finished is always the last one started).  Only a thread
+// parked at a barrier keeps a fiber of its own, so a barrier-free block runs
+// on one fiber with one resume, and a block whose threads all park uses one
+// fiber per thread.
+//
 // That fixed order is also what makes batched trace recording possible: the
 // lanes of a converged warp replay the same instruction stream one after
 // another, so the trace arena (cudalite/trace_arena.h) can reconstruct each
@@ -77,8 +86,8 @@ class SharedArena {
   // arena offset.  alignment is 16 bytes (float4).
   std::byte* allocate(int tid, std::size_t bytes);
 
-  void begin_block();                 // reset layout + cursors for a new block
-  void begin_thread(int tid);         // reset tid's allocation cursor
+  // Reset the layout and the cursors of threads [0, num_threads).
+  void begin_block(int num_threads);
   std::size_t bytes_used() const { return layout_end_; }
   std::size_t capacity() const { return storage_.size(); }
   std::byte* data() { return storage_.data(); }
@@ -92,22 +101,16 @@ class SharedArena {
 
 class BlockRunner {
  public:
-  // `max_threads` bounds the fiber pool; `smem_capacity` is the SM's shared
-  // memory size (a block exceeding it fails at launch, not here).  `backend`
-  // picks the fiber switch engine (requests for the fast engine degrade to
-  // ucontext in sanitized builds — see Fiber).
+  // `max_threads` sizes the per-thread tables; `smem_capacity` is the SM's
+  // shared memory size (a block exceeding it fails at launch, not here).
+  // `backend` picks the fiber switch engine (requests for the fast engine
+  // degrade to ucontext in sanitized builds — see Fiber).
   BlockRunner(int max_threads, std::size_t smem_capacity,
-              std::size_t stack_bytes = 128 * 1024,
               Fiber::Backend backend = Fiber::default_backend());
 
   // Run `num_threads` threads, each executing body(tid).  Bodies may call
-  // sync(tid) any number of times.
+  // sync(tid) any number of times, or never.
   void run(int num_threads, const std::function<void(int)>& body);
-
-  // Fast path for kernels that never call __syncthreads: runs thread bodies
-  // to completion on the caller's stack (no fibers).  sync() throws if the
-  // kernel lied about being barrier-free.
-  void run_direct(int num_threads, const std::function<void(int)>& body);
 
   // Barrier entry point, called from inside a thread body.  The SyncPoint
   // overload lets diagnostics name the kernel-source barrier.
@@ -119,45 +122,58 @@ class BlockRunner {
   // Number of barrier generations completed in the last run (for tracing).
   int barriers_executed() const { return barriers_executed_; }
 
+  // Fibers this runner has built over its lifetime.  A run reuses every
+  // fiber built before it, so this grows only with the peak number of
+  // threads parked at once (plus one carrying the threads that never park).
+  std::size_t fibers_built() const { return fibers_.size(); }
+
   // Attach/detach a barrier-semantics observer (g80check).  Null detaches.
   void set_barrier_observer(BarrierObserver* obs) { observer_ = obs; }
 
   // Attach/detach a cooperative cancellation token (g80resil watchdog).
-  // Checked at every barrier release, so a kernel wedged in a
-  // __syncthreads() loop is cancellable; the abandoned fibers are re-armed
+  // Checked at every barrier release and before each thread a fiber carries
+  // on to, so a kernel wedged in a __syncthreads() loop, or a long block of
+  // barrier-free threads, is cancellable; the abandoned fibers are re-armed
   // by the next run() (see Fiber::start).  Null detaches.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
  private:
   enum class ThreadStatus { kRunning, kAtBarrier, kDone };
 
-  // Raw fiber entry: `arg` is a LaneArg; calls (*runner->body_)(tid).  Using
-  // a plain function pointer instead of a per-lane capturing lambda keeps
-  // fiber arming allocation-free (the old path heap-allocated one
-  // std::function per thread per block).
-  struct LaneArg {
-    BlockRunner* runner = nullptr;
-    int tid = 0;
-  };
-  static void lane_entry(void* arg);
+  static constexpr std::size_t kStackBytes = 128 * 1024;  // per fiber
+
+  // Raw fiber entry (`arg` is the runner): runs thread current_, then the
+  // following unstarted threads on the same stack for as long as each one
+  // exits without parking.  A plain function pointer keeps arming
+  // allocation-free.
+  static void fiber_entry(void* arg);
+
+  // Give thread `tid`, the next unstarted one, a free fiber (built if none
+  // is left) and arm it.
+  Fiber& claim_fiber(int tid);
+  void finish_thread(int tid);
 
   // First thread at index >= from that is kRunning, or status_.size().
   int next_running(int from) const;
 
-  std::size_t stack_bytes_;
   Fiber::Backend backend_;
+  // Every fiber built.  A run claims them in order and releases none before
+  // its first pass has started every thread, so the free ones are exactly
+  // fibers_[claimed_..]; an aborted run's parked fibers are re-armed then.
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::size_t claimed_ = 0;
+  std::vector<Fiber*> thread_fiber_;  // the fiber carrying each thread
   std::vector<ThreadStatus> status_;
   std::vector<SyncPoint> sync_points_;  // where each parked thread waits
   std::vector<int> exited_this_interval_;
-  std::vector<LaneArg> lane_args_;      // stable per-lane entry arguments
   const std::function<void(int)>* body_ = nullptr;  // valid during run()
   SharedArena shared_;
   int barriers_executed_ = 0;
+  int started_ = 0;  // threads started in this run (always a prefix)
+  int live_ = 0;     // threads of this run not yet exited
   // The thread running now; once run()'s resume() returns, the thread that
   // gave control back.
   int current_ = 0;
-  bool direct_mode_ = false;
   BarrierObserver* observer_ = nullptr;
   const CancelToken* cancel_ = nullptr;
 };

@@ -1,6 +1,6 @@
-// Cooperative fibers used to give every simulated GPU thread its own stack,
-// so kernels can call __syncthreads() from arbitrary points — inside loops,
-// between shared-memory phases — exactly like CUDA.
+// Cooperative fibers give each simulated GPU thread that parks at a barrier
+// a stack of its own, so kernels can call __syncthreads() from arbitrary
+// points — inside loops, between shared-memory phases — exactly like CUDA.
 //
 // Fibers only yield at explicit suspension points (barriers), so a block's
 // threads otherwise run to completion in-order; functional results are

@@ -36,10 +36,9 @@ namespace {
 
 using namespace apps;
 
-LaunchOptions make_opt(const SanitizerOptions& san, bool uses_sync) {
+LaunchOptions make_opt(const SanitizerOptions& san) {
   LaunchOptions opt;
   opt.sanitize = san;
-  opt.uses_sync = uses_sync;
   return opt;
 }
 
@@ -54,7 +53,7 @@ CampaignTarget saxpy_target() {
     auto out = dev.alloc<float>(w.x.size());
     x.copy_from_host(w.x);
     y.copy_from_host(w.y);
-    launch(dev, Dim3(4), Dim3(64), make_opt(san, false),
+    launch(dev, Dim3(4), Dim3(64), make_opt(san),
            SaxpyKernel{w.a, 256}, x, y, out);
     return fnv1a_vec(out.copy_to_host());
   };
@@ -75,7 +74,7 @@ CampaignTarget matmul_target() {
     auto c = dev.alloc<float>(n2);
     a.copy_from_host(w.a);
     b.copy_from_host(w.b);
-    launch(dev, Dim3(2, 2), Dim3(16, 16), make_opt(san, true),
+    launch(dev, Dim3(2, 2), Dim3(16, 16), make_opt(san),
            MatmulTiledKernel{w.n, 16, true, false}, a, b, c);
     return fnv1a_vec(c.copy_to_host());
   };
@@ -92,7 +91,7 @@ CampaignTarget cp_target() {
     atoms.copy_from_host(w.atoms);
     auto out = dev.alloc<float>(static_cast<std::size_t>(w.grid_dim) *
                                 w.grid_dim);
-    launch(dev, Dim3(2, 2), Dim3(16, 16), make_opt(san, false),
+    launch(dev, Dim3(2, 2), Dim3(16, 16), make_opt(san),
            CpKernel{w.grid_dim, w.spacing, w.slice_z}, atoms, out);
     return fnv1a_vec(out.copy_to_host());
   };
@@ -119,7 +118,7 @@ CampaignTarget fem_target() {
     d_diag.copy_from_host(m.diag);
     d_rhs.copy_from_host(m.rhs);
     d_xin.copy_from_host(m.rhs);  // initial guess x = b
-    launch(dev, Dim3(2), Dim3(64), make_opt(san, false),
+    launch(dev, Dim3(2), Dim3(64), make_opt(san),
            FemKernel{m.nodes, m.ell_width()}, d_cols, d_vals, d_diag, d_rhs,
            d_xin, d_xout);
     return fnv1a_vec(d_xout.copy_to_host());
@@ -150,7 +149,7 @@ CampaignTarget tpacf_target() {
     edges.copy_from_host(w.bin_edges);
     auto hist = dev.alloc<unsigned>(static_cast<std::size_t>(blocks) *
                                     kTpacfBins);
-    launch(dev, Dim3(blocks), Dim3(kTpacfBlockThreads), make_opt(san, true),
+    launch(dev, Dim3(blocks), Dim3(kTpacfBlockThreads), make_opt(san),
            TpacfKernel{num_points, TpacfHistLayout::kBinMajor}, x, y, z,
            edges, hist);
     return fnv1a_vec(hist.copy_to_host());
@@ -185,7 +184,7 @@ CampaignTarget fdtd_target() {
     auto hyo = dev.alloc<float>(cells);
     auto hzo = dev.alloc<float>(cells);
     launch(dev, Dim3(1, static_cast<unsigned>(p.ny * p.nz)), Dim3(16),
-           make_opt(san, false), FdtdHKernel{p}, ex, ey, ez, hx, hy, hz, hxo,
+           make_opt(san), FdtdHKernel{p}, ex, ey, ez, hx, hy, hz, hxo,
            hyo, hzo);
     std::uint64_t h = fnv1a_vec(hxo.copy_to_host());
     h = fnv1a_vec(hyo.copy_to_host(), h);
@@ -220,7 +219,7 @@ CampaignTarget pns_target() {
     k.steps = steps;
     k.rng_seed = net.rng_seed;
     k.table_space = PnsTableSpace::kTexture;
-    launch(dev, Dim3(1), Dim3(64), make_opt(san, false), k, d_init, d_in_g,
+    launch(dev, Dim3(1), Dim3(64), make_opt(san), k, d_init, d_in_g,
            d_out_g, d_in_t, d_out_t, d_marking, d_fired);
     std::uint64_t h = fnv1a_vec(d_marking.copy_to_host());
     return fnv1a_vec(d_fired.copy_to_host(), h);
@@ -242,7 +241,7 @@ CampaignTarget rc5_target() {
     Rc5Kernel k;
     k.w = w;
     k.keys_per_thread = 4;
-    LaunchOptions opt = make_opt(san, false);
+    LaunchOptions opt = make_opt(san);
     opt.regs_per_thread = 42;
     launch(dev, Dim3(1), Dim3(64), opt, k, found, partial);
     std::uint64_t h = fnv1a_vec(found.copy_to_host());
@@ -273,7 +272,7 @@ CampaignTarget rpes_target() {
     quad.copy_from_host(w.quad);
     contr.copy_from_host(w.contraction);
     auto out = dev.alloc<float>(static_cast<std::size_t>(n) * n);
-    launch(dev, Dim3(2, 2), Dim3(16, 16), make_opt(san, false), RpesKernel{n},
+    launch(dev, Dim3(2, 2), Dim3(16, 16), make_opt(san), RpesKernel{n},
            px, py, pz, eta, coef, quad, contr, out);
     return fnv1a_vec(out.copy_to_host());
   };
@@ -299,7 +298,7 @@ CampaignTarget h264_target() {
     auto cand = dev.alloc<std::int32_t>(w.num_mbs());
     launch(dev, Dim3(static_cast<unsigned>(w.mbs_x()),
                      static_cast<unsigned>(w.mbs_y())),
-           Dim3(kCandidates), make_opt(san, true),
+           Dim3(kCandidates), make_opt(san),
            H264MeKernel{w.width, w.height, true}, cur, ref, sad, cand);
     std::uint64_t h = fnv1a_vec(sad.copy_to_host());
     return fnv1a_vec(cand.copy_to_host(), h);
@@ -325,7 +324,7 @@ CampaignTarget mri_q_target() {
     k.copy_from_host(w.samples);
     auto qr = dev.alloc<float>(w.x.size());
     auto qi = dev.alloc<float>(w.x.size());
-    launch(dev, Dim3(2), Dim3(64), make_opt(san, false), MriQKernel{nv, true},
+    launch(dev, Dim3(2), Dim3(64), make_opt(san), MriQKernel{nv, true},
            x, y, z, k, qr, qi);
     std::uint64_t h = fnv1a_vec(qr.copy_to_host());
     return fnv1a_vec(qi.copy_to_host(), h);
@@ -353,7 +352,7 @@ CampaignTarget mri_fhd_target() {
     rho.copy_from_host(w.rho);
     auto fr = dev.alloc<float>(w.x.size());
     auto fi = dev.alloc<float>(w.x.size());
-    launch(dev, Dim3(2), Dim3(64), make_opt(san, false), MriFhdKernel{nv}, x,
+    launch(dev, Dim3(2), Dim3(64), make_opt(san), MriFhdKernel{nv}, x,
            y, z, k, rho, fr, fi);
     std::uint64_t h = fnv1a_vec(fr.copy_to_host());
     return fnv1a_vec(fi.copy_to_host(), h);
@@ -377,7 +376,7 @@ CampaignTarget lbm_target() {
     auto src = dev.alloc<float>(w.f0.size());
     auto dst = dev.alloc<float>(w.f0.size());
     src.copy_from_host(w.f0);
-    LaunchOptions opt = make_opt(san, true);
+    LaunchOptions opt = make_opt(san);
     opt.regs_per_thread = 32;
     launch(dev, Dim3(1, static_cast<unsigned>(p.ny * p.nz)), Dim3(16), opt,
            LbmKernel{p, LbmLayout::kSoAStaged}, src, dst);

@@ -42,7 +42,6 @@ LaunchConfig canonical_config(const JobRequest& req) {
     c.block_x = 256;
     c.grid_x = static_cast<std::uint32_t>((req.n + c.block_x - 1) / c.block_x);
     c.regs_per_thread = 5;
-    c.uses_sync = false;
     return c;
   }
   // matmul: shapes from run_matmul (apps/matmul/matmul.cc).
@@ -59,7 +58,6 @@ LaunchConfig canonical_config(const JobRequest& req) {
     }
     c.block_x = c.block_y = 16;
     c.grid_x = c.grid_y = n / 16;
-    c.uses_sync = false;
     return c;
   }
   if (req.n % req.tile != 0) {
@@ -78,7 +76,6 @@ LaunchConfig canonical_config(const JobRequest& req) {
     c.block_x = c.block_y = tile;
   }
   c.grid_x = c.grid_y = n / tile;
-  c.uses_sync = true;
   return c;
 }
 
@@ -87,19 +84,21 @@ LaunchOptions options_from_config(const LaunchConfig& c) {
   opt.regs_per_thread = c.regs_per_thread;
   opt.sample_blocks = c.sample_blocks;
   opt.functional = c.functional;
-  opt.uses_sync = c.uses_sync;
   return opt;
 }
 
-void apply_fault(const FaultSpec& fault, const LaunchConfig& c,
-                 LaunchOptions& opt, ResiliencePolicy& policy) {
+void apply_fault(const JobRequest& req, LaunchOptions& opt,
+                 ResiliencePolicy& policy) {
+  const FaultSpec& fault = req.fault;
   if (!fault.enabled()) return;
   if (fault.kind == "oob_store") {
     opt.sanitize.enabled = true;
     opt.sanitize.fault.corrupt_global_tid = 0;
     opt.sanitize.fault.block = 0;
   } else if (fault.kind == "skip_barrier") {
-    if (!c.uses_sync) {
+    // saxpy and the naive matmuls never __syncthreads.
+    if (req.kernel != "matmul" || req.variant == "naive" ||
+        req.variant == "naive_unrolled") {
       throw StatusError(
           Status::kInvalidValue,
           "fault \"skip_barrier\" needs a __syncthreads kernel (matmul "
@@ -128,7 +127,6 @@ void write_config(JsonWriter& w, const LaunchConfig& c) {
   w.kv("regs_per_thread", c.regs_per_thread);
   w.kv("sample_blocks", c.sample_blocks);
   w.kv("functional", c.functional);
-  w.kv("uses_sync", c.uses_sync);
   w.end_object();
 }
 
@@ -225,7 +223,7 @@ std::string run_launch_payload(Device& dev, const JobRequest& req,
                                double& modeled_seconds) {
   LaunchOptions opt = options_from_config(c);
   ResiliencePolicy job_policy = policy;
-  apply_fault(req.fault, c, opt, job_policy);
+  apply_fault(req, opt, job_policy);
   opt.resilience = job_policy;
 
   prof::Profiler profiler;

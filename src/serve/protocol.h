@@ -31,7 +31,7 @@ namespace g80::serve {
 // Bumped whenever the meaning of a cached result changes (kernel semantics,
 // timing model, result payload schema).  Part of every cache key, so stale
 // on-disk entries from an older model silently become misses.
-inline constexpr int kModelVersion = 1;
+inline constexpr int kModelVersion = 2;
 inline constexpr int kProtocolVersion = 1;
 
 enum class Op {

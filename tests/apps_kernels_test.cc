@@ -286,7 +286,6 @@ TEST(Mri, SfuAndSoftwareTrigAgreeNumerically) {
   auto qi2 = dev.alloc<float>(w.x.size());
 
   LaunchOptions opt;
-  opt.uses_sync = false;
   const Dim3 block(256);
   const Dim3 grid(1);
   const int nv = static_cast<int>(w.x.size());

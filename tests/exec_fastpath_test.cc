@@ -178,12 +178,12 @@ void run_divergent_block(BlockRunner& r, int threads,
 TEST(BlockSweep, DivergentExitMatchesObservedRun) {
   for (Fiber::Backend backend : backends_under_test()) {
     for (int threads : {1, 31, 32, 33, 96, 256}) {
-      BlockRunner plain(threads, 16 * 1024, 64 * 1024, backend);
+      BlockRunner plain(threads, 16 * 1024, backend);
       std::vector<int> plain_out;
       run_divergent_block(plain, threads, plain_out, nullptr);
       const int plain_barriers = plain.barriers_executed();
 
-      BlockRunner observed(threads, 16 * 1024, 64 * 1024, backend);
+      BlockRunner observed(threads, 16 * 1024, backend);
       std::vector<int> observed_out;
       NoopObserver obs;
       run_divergent_block(observed, threads, observed_out, &obs);
@@ -220,7 +220,7 @@ TEST(BlockSweep, FullyConvergedWarpsKeepBarrierSemantics) {
 TEST(HandoffChain, ThrowAfterHandoffStopsThePassAndRunnerRecovers) {
   for (Fiber::Backend backend : backends_under_test()) {
     const int threads = 8;
-    BlockRunner r(threads, 16 * 1024, 64 * 1024, backend);
+    BlockRunner r(threads, 16 * 1024, backend);
     std::vector<int> before(threads, 0), after(threads, 0);
     // Thread 3 throws in the second pass, where threads 1..7 are entered by
     // the handoff from their predecessor rather than by the scheduler.
@@ -252,7 +252,7 @@ TEST(HandoffChain, ThrowAfterHandoffStopsThePassAndRunnerRecovers) {
 
 TEST(HandoffChain, LowestThrowingThreadOfThePassWins) {
   for (Fiber::Backend backend : backends_under_test()) {
-    BlockRunner r(16, 16 * 1024, 64 * 1024, backend);
+    BlockRunner r(16, 16 * 1024, backend);
     try {
       // Both throwers are entered by handoff in the second pass.
       r.run(16, [&](int tid) {
@@ -309,7 +309,7 @@ TEST(HandoffChain, MixedExitsGiveTheSameSnapshotsOnBothEngines) {
   std::vector<std::vector<std::vector<int>>> snapshots;
   std::vector<std::vector<int>> outputs;
   for (Fiber::Backend backend : backends_under_test()) {
-    BlockRunner r(threads, 16 * 1024, 64 * 1024, backend);
+    BlockRunner r(threads, 16 * 1024, backend);
     RecordingObserver obs;
     std::vector<int> out(threads, 0);
     r.set_barrier_observer(&obs);
@@ -332,7 +332,7 @@ TEST(HandoffChain, MixedExitsGiveTheSameSnapshotsOnBothEngines) {
 
 TEST(HandoffChain, SyncForeverBlockCancelsThroughWatchdog) {
   for (Fiber::Backend backend : backends_under_test()) {
-    BlockRunner r(64, 16 * 1024, 64 * 1024, backend);
+    BlockRunner r(64, 16 * 1024, backend);
     CancelToken token;
     r.set_cancel_token(&token);
     try {

@@ -1,6 +1,6 @@
 // Tests for the fiber engine and block runner: CUDA barrier semantics,
 // shared-memory arena layout, divergent-barrier detection, exception
-// propagation, and the fiber-less direct mode.
+// propagation, and lazy fiber claiming.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "exec/block_runner.h"
+#include "exec/cancel.h"
 #include "exec/fiber.h"
 
 namespace g80 {
@@ -76,9 +77,7 @@ TEST(Fiber, DeepStackSurvives) {
 
 TEST(SharedArena, SameLayoutForAllThreads) {
   SharedArena arena(1024);
-  arena.begin_block();
-  arena.begin_thread(0);
-  arena.begin_thread(1);
+  arena.begin_block(2);
   std::byte* a0 = arena.allocate(0, 64);
   std::byte* b0 = arena.allocate(0, 32);
   std::byte* a1 = arena.allocate(1, 64);
@@ -91,17 +90,14 @@ TEST(SharedArena, SameLayoutForAllThreads) {
 
 TEST(SharedArena, MismatchedLayoutThrows) {
   SharedArena arena(1024);
-  arena.begin_block();
-  arena.begin_thread(0);
-  arena.begin_thread(1);
+  arena.begin_block(2);
   arena.allocate(0, 64);
   EXPECT_THROW(arena.allocate(1, 128), Error);
 }
 
 TEST(SharedArena, OverflowThrows) {
   SharedArena arena(128);
-  arena.begin_block();
-  arena.begin_thread(0);
+  arena.begin_block(1);
   arena.allocate(0, 64);
   EXPECT_THROW(arena.allocate(0, 128), Error);
 }
@@ -109,16 +105,14 @@ TEST(SharedArena, OverflowThrows) {
 TEST(SharedArena, ResetsBetweenBlocks) {
   SharedArena arena(256);
   for (int block = 0; block < 3; ++block) {
-    arena.begin_block();
-    arena.begin_thread(0);
+    arena.begin_block(1);
     EXPECT_NO_THROW(arena.allocate(0, 200));
   }
 }
 
 TEST(SharedArena, SixteenByteAlignment) {
   SharedArena arena(1024);
-  arena.begin_block();
-  arena.begin_thread(0);
+  arena.begin_block(1);
   arena.allocate(0, 3);  // odd size
   std::byte* second = arena.allocate(0, 16);
   EXPECT_EQ((second - arena.data()) % 16, 0);
@@ -208,27 +202,86 @@ TEST(BlockRunner, ThreadsRunInOrderBetweenBarriers) {
   }
 }
 
-// ---- Direct mode --------------------------------------------------------------
+// ---- Barrier-free blocks and fiber claiming ----------------------------------
 
-TEST(BlockRunner, DirectModeRunsAllThreads) {
-  BlockRunner runner(1, 16 * 1024);
-  std::vector<int> hits(256, 0);
-  runner.run_direct(256, [&](int tid) { ++hits[tid]; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 256);
+TEST(BlockRunner, BarrierFreeBlockRunsAllThreadsInOrder) {
+  BlockRunner runner(256, 16 * 1024);
+  std::vector<int> order;
+  runner.run(256, [&](int tid) { order.push_back(tid); });
+  ASSERT_EQ(order.size(), 256u);
+  for (int t = 0; t < 256; ++t) EXPECT_EQ(order[t], t);
+  EXPECT_EQ(runner.barriers_executed(), 0);
 }
 
-TEST(BlockRunner, DirectModeSyncThrows) {
-  BlockRunner runner(1, 16 * 1024);
-  EXPECT_THROW(runner.run_direct(4, [&](int tid) { runner.sync(tid); }), Error);
-}
-
-TEST(BlockRunner, DirectModeSharedMemoryWorks) {
-  BlockRunner runner(1, 16 * 1024);
-  runner.run_direct(8, [&](int tid) {
+TEST(BlockRunner, BarrierFreeSharedMemoryWorks) {
+  // Threads carried one after another on the same fiber each get their own
+  // allocation cursor, so every one maps the block's single layout.
+  BlockRunner runner(8, 16 * 1024);
+  std::vector<int*> slots(8, nullptr);
+  runner.run(8, [&](int tid) {
     auto* p = reinterpret_cast<int*>(runner.shared().allocate(tid, 8 * 4));
     p[tid] = tid;
+    slots[tid] = p;
   });
   EXPECT_GE(runner.shared().bytes_used(), 32u);
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_EQ(slots[t], slots[0]);
+    EXPECT_EQ(slots[0][t], t);
+  }
+}
+
+// Fibers built for one 256-thread block: `parks(tid)` says whether thread
+// tid reaches the barrier or returns before it.
+template <class Parks>
+std::size_t fibers_for_block(const Parks& parks) {
+  BlockRunner runner(256, 16 * 1024);
+  const auto body = [&](int tid) {
+    if (!parks(tid)) return;
+    runner.sync(tid);
+  };
+  runner.run(256, body);
+  const std::size_t built = runner.fibers_built();
+  // A second run reuses every fiber the first one built.
+  runner.run(256, body);
+  EXPECT_EQ(runner.fibers_built(), built);
+  return built;
+}
+
+TEST(BlockRunner, FibersBuiltMatchBlockShape) {
+  // Barrier-free: one fiber carries every thread.
+  EXPECT_EQ(fibers_for_block([](int) { return false; }), 1u);
+  // Every thread parks: one fiber each.
+  EXPECT_EQ(fibers_for_block([](int) { return true; }), 256u);
+  // Odd threads exit before the barrier: each even thread keeps a fiber, and
+  // every odd thread runs on the stack the next even thread then parks on,
+  // except the last, whose fiber is the 129th.
+  EXPECT_EQ(fibers_for_block([](int t) { return t % 2 == 0; }), 129u);
+  // `t < 200` guard: 200 parked threads, then one fiber for the other 56.
+  EXPECT_EQ(fibers_for_block([](int t) { return t < 200; }), 201u);
+}
+
+TEST(BlockRunner, BarrierFreeBlockIsCancellableBetweenThreads) {
+  // The fiber carrying a barrier-free block checks the token before each
+  // thread it moves on to, so a watchdog preempts the block mid-way.
+  BlockRunner runner(64, 16 * 1024);
+  CancelToken token;
+  runner.set_cancel_token(&token);
+  int ran = 0;
+  try {
+    runner.run(64, [&](int tid) {
+      ++ran;
+      if (tid == 9) token.request(Status::kTimeout, "test watchdog");
+    });
+    FAIL() << "cancelled run completed";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status(), Status::kTimeout);
+  }
+  EXPECT_EQ(ran, 10);
+  // The runner is reusable once the token is detached.
+  runner.set_cancel_token(nullptr);
+  ran = 0;
+  runner.run(64, [&](int) { ++ran; });
+  EXPECT_EQ(ran, 64);
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 //   1. block scheduling never changes results: sequential, pooled, and
 //      ambient-pool launches produce bit-identical outputs and identical
 //      modeled timing;
-//   2. the g80check sanitize pass is sound on clean kernels (no findings)
-//      and side-effect-free (outputs identical with it on or off);
+//   2. the g80check sanitize pass is sound on clean kernels (no findings),
+//      reports only barrier divergence on the early-exit kernel, and is
+//      side-effect-free (outputs identical with it on or off);
 //   3. an enabled-but-untriggered resilience policy is a no-op: same
 //      outputs, exactly one attempt, clean history;
 //   4. model sanity: occupancy fraction in (0, 1], modeled time positive,
@@ -27,7 +28,15 @@
 //      for every random configuration, {sequential, pooled 2, pooled 4} x
 //      {fast/ucontext fiber engine} agree with the sequential default-engine
 //      run on outputs, the full trace summary (including how many streams
-//      were regrouped), and modeled timing, bit for bit.
+//      were regrouped), and modeled timing, bit for bit;
+//   7. fiber reuse is invisible: a kernel whose threads t >= k exit before
+//      the barrier (so one fiber carries several threads, and the rest each
+//      park on one of their own) matches a host-computed reference on every
+//      scheduler and fiber engine.
+//
+// Each configuration draws one of three kernels: a barrier-free stream, a
+// block-wide reverse through shared memory, and that reverse over a prefix
+// of the block with the other threads exiting early.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -91,22 +100,50 @@ struct ReverseKernel {
   }
 };
 
+// Early-exit kernel: threads t >= k negate their element and return before
+// the barrier; the rest reverse [0, k) of their block through shared memory.
+struct EarlyExitReverseKernel {
+  int k = 1;
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& in,
+                  DeviceBuffer<float>& out) const {
+    auto In = ctx.global(in);
+    auto Out = ctx.global(out);
+    auto S = ctx.template shared<float>(ctx.block_dim().x);
+    const int t = static_cast<int>(ctx.thread_idx().x);
+    const int base = static_cast<int>(ctx.block_idx().x * ctx.block_dim().x);
+    if (ctx.branch(t >= k)) {
+      Out.st(base + t, -In.ld(base + t));
+      return;
+    }
+    S.st(t, In.ld(base + t));
+    ctx.sync();
+    Out.st(base + t, S.ld(k - 1 - t));
+  }
+};
+
+enum class FuzzKernel { kMad, kReverse, kEarlyExit };
+
 // One random launch configuration.
 struct FuzzConfig {
   int blocks = 1;
   int threads = 32;
   int sample_blocks = 1;
   int regs = 10;
-  bool cooperative = false;  // ReverseKernel instead of MadStreamKernel
-  float scale = 1.0f;
+  FuzzKernel kernel = FuzzKernel::kMad;
+  float scale = 1.0f;  // MadStreamKernel
+  int keep = 1;        // EarlyExitReverseKernel's k, in [1, threads)
 
   int n() const { return blocks * threads; }
   std::string str() const {
+    static const char* const kNames[] = {"mad", "reverse", "early_exit"};
     return "blocks=" + std::to_string(blocks) +
            " threads=" + std::to_string(threads) +
            " sample_blocks=" + std::to_string(sample_blocks) +
-           " regs=" + std::to_string(regs) +
-           (cooperative ? " kernel=reverse" : " kernel=mad");
+           " regs=" + std::to_string(regs) + " kernel=" +
+           kNames[static_cast<int>(kernel)] +
+           (kernel == FuzzKernel::kEarlyExit ? " k=" + std::to_string(keep)
+                                             : "");
   }
 };
 
@@ -117,9 +154,11 @@ FuzzConfig random_config(std::mt19937& rng) {
   c.threads = kThreads[std::uniform_int_distribution<int>(0, 3)(rng)];
   c.sample_blocks = std::uniform_int_distribution<int>(1, 4)(rng);
   c.regs = std::uniform_int_distribution<int>(8, 16)(rng);
-  c.cooperative = std::uniform_int_distribution<int>(0, 1)(rng) == 1;
+  c.kernel = static_cast<FuzzKernel>(
+      std::uniform_int_distribution<int>(0, 2)(rng));
   c.scale =
       0.25f * static_cast<float>(std::uniform_int_distribution<int>(1, 8)(rng));
+  c.keep = std::uniform_int_distribution<int>(1, c.threads - 1)(rng);
   return c;
 }
 
@@ -134,7 +173,6 @@ LaunchOptions base_options(const FuzzConfig& c) {
   LaunchOptions opt;
   opt.regs_per_thread = c.regs;
   opt.sample_blocks = c.sample_blocks;
-  opt.uses_sync = c.cooperative;
   return opt;
 }
 
@@ -146,17 +184,36 @@ std::pair<std::vector<float>, LaunchStats> run_config(
   auto in = dev.alloc<float>(static_cast<std::size_t>(c.n()));
   auto out = dev.alloc<float>(static_cast<std::size_t>(c.n()));
   in.copy_from_host(input);
+  const Dim3 grid(static_cast<unsigned>(c.blocks));
+  const Dim3 block(static_cast<unsigned>(c.threads));
   LaunchStats stats;
-  if (c.cooperative) {
-    stats = launch(dev, Dim3(static_cast<unsigned>(c.blocks)),
-                   Dim3(static_cast<unsigned>(c.threads)), opt, ReverseKernel{},
-                   in, out);
-  } else {
-    stats = launch(dev, Dim3(static_cast<unsigned>(c.blocks)),
-                   Dim3(static_cast<unsigned>(c.threads)), opt,
-                   MadStreamKernel{c.n(), c.scale}, in, out);
+  switch (c.kernel) {
+    case FuzzKernel::kMad:
+      stats = launch(dev, grid, block, opt, MadStreamKernel{c.n(), c.scale},
+                     in, out);
+      break;
+    case FuzzKernel::kReverse:
+      stats = launch(dev, grid, block, opt, ReverseKernel{}, in, out);
+      break;
+    case FuzzKernel::kEarlyExit:
+      stats = launch(dev, grid, block, opt, EarlyExitReverseKernel{c.keep},
+                     in, out);
+      break;
   }
   return {out.copy_to_host(), stats};
+}
+
+// What EarlyExitReverseKernel writes, computed on the host.
+std::vector<float> early_exit_reference(const FuzzConfig& c,
+                                        const std::vector<float>& input) {
+  std::vector<float> out(input.size());
+  for (int b = 0; b < c.blocks; ++b) {
+    const int base = b * c.threads;
+    for (int t = 0; t < c.threads; ++t)
+      out[base + t] =
+          t >= c.keep ? -input[base + t] : input[base + c.keep - 1 - t];
+  }
+  return out;
 }
 
 TEST(InvariantFuzz, BlockSchedulingNeverChangesResults) {
@@ -196,10 +253,20 @@ TEST(InvariantFuzz, SanitizerSoundAndSideEffectFreeOnCleanKernels) {
 
     LaunchOptions sanitized = base_options(c);
     sanitized.sanitize.enabled = true;
+    sanitized.sanitize.abort_on_error = false;
     const auto [san_out, san_stats] = run_config(c, input, sanitized);
 
-    EXPECT_TRUE(san_stats.sanitizer.clean())
-        << c.str() << ": " << san_stats.sanitizer.summary();
+    if (c.kernel == FuzzKernel::kEarlyExit) {
+      // Threads exiting while others wait at __syncthreads is the one
+      // thing g80check reports about this kernel.
+      EXPECT_FALSE(san_stats.sanitizer.clean()) << c.str();
+      for (const auto& f : san_stats.sanitizer.findings)
+        EXPECT_EQ(f.status, Status::kBarrierDivergence)
+            << c.str() << ": " << f.message;
+    } else {
+      EXPECT_TRUE(san_stats.sanitizer.clean())
+          << c.str() << ": " << san_stats.sanitizer.summary();
+    }
     EXPECT_EQ(plain_out, san_out) << c.str();
   }
 }
@@ -309,6 +376,40 @@ TEST(InvariantFuzz, TraceRecordingInvisibleAcrossSchedulersAndFiberEngines) {
         EXPECT_EQ(ref_stats.timing.kernel_cycles, stats.timing.kernel_cycles)
             << label;
       }
+    }
+  }
+}
+
+TEST(InvariantFuzz, EarlyExitKernelMatchesHostReference) {
+  std::mt19937 rng(fuzz_seed() + 6);
+  WorkerPool pool2(2);
+  WorkerPool pool4(4);
+  std::vector<Fiber::Backend> backends{Fiber::Backend::kUcontext};
+  if (Fiber::fast_backend_supported())
+    backends.push_back(Fiber::Backend::kFast);
+  for (int it = 0; it < fuzz_iters(); ++it) {
+    auto c = random_config(rng);
+    c.kernel = FuzzKernel::kEarlyExit;
+    const auto input = random_input(rng, c.n());
+    const auto expected = early_exit_reference(c, input);
+
+    for (Fiber::Backend backend : backends) {
+      const std::string engine =
+          backend == Fiber::Backend::kFast ? "fast" : "ucontext";
+      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
+                               &pool4}) {
+        LaunchOptions opt = base_options(c);
+        opt.fiber_backend = backend;
+        opt.pool = pool;
+        EXPECT_EQ(run_config(c, input, opt).first, expected)
+            << c.str() << " pool=" << (pool ? pool->width() : 1)
+            << " backend=" << engine;
+      }
+      LaunchOptions opt = base_options(c);
+      opt.fiber_backend = backend;
+      ScopedLaunchPool ambient(&pool4);
+      EXPECT_EQ(run_config(c, input, opt).first, expected)
+          << c.str() << " ambient pool backend=" << engine;
     }
   }
 }

@@ -155,7 +155,6 @@ TEST(Launch, FunctionalPassCoversFullGrid) {
   const int n = 1024;
   auto out = dev.alloc<int>(n);
   LaunchOptions opt;
-  opt.uses_sync = false;
   launch(dev, Dim3(n / 64), Dim3(64), opt, FillIndexKernel{n}, out);
   const auto host = out.copy_to_host();
   for (int i = 0; i < n; ++i) ASSERT_EQ(host[i], i * 3);
@@ -165,7 +164,6 @@ TEST(Launch, TwoDimensionalGridCoordinates) {
   Device dev;
   auto out = dev.alloc<int>(32 * 16);
   LaunchOptions opt;
-  opt.uses_sync = false;
   launch(dev, Dim3(4, 4), Dim3(8, 4), opt, Coord2DKernel{}, out);
   const auto host = out.copy_to_host();
   for (int y = 0; y < 16; ++y)
@@ -193,7 +191,6 @@ TEST(Launch, OutOfBoundsAccessThrows) {
   Device dev;
   auto d = dev.alloc<float>(16);
   LaunchOptions opt;
-  opt.uses_sync = false;
   EXPECT_THROW(launch(dev, Dim3(1), Dim3(1), opt, OobKernel{}, d), Error);
 }
 
@@ -219,7 +216,6 @@ TEST(Launch, InstructionMixCountedExactly) {
   const int n = 256;
   auto d = dev.alloc<float>(n);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(256), opt, Mad4Kernel{}, d);
   ASSERT_EQ(s.trace.num_warps, 8u);
@@ -235,7 +231,6 @@ TEST(Launch, CoalescedKernelFullyCoalesced) {
   Device dev;
   auto d = dev.alloc<float>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(256), opt, Mad4Kernel{}, d);
   EXPECT_DOUBLE_EQ(s.trace.coalesced_fraction(), 1.0);
@@ -249,7 +244,6 @@ TEST(Launch, StridedKernelScatters) {
   auto d = dev.alloc<float>(4096);
   auto o = dev.alloc<float>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(256), opt, StridedKernel{}, d, o);
   EXPECT_LT(s.trace.coalesced_fraction(), 0.6);  // loads scatter, stores don't
@@ -260,7 +254,6 @@ TEST(Launch, DivergenceDetected) {
   Device dev;
   auto o = dev.alloc<float>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(256), opt, DivergentKernel{}, o);
   EXPECT_GT(s.trace.divergent_branch_fraction(), 0.9);
@@ -273,7 +266,6 @@ TEST(Launch, UniformBranchNotDivergent) {
   Device dev;
   auto o = dev.alloc<int>(1024);
   LaunchOptions opt;
-  opt.uses_sync = false;
   const auto s = launch(dev, Dim3(4), Dim3(256), opt, FillIndexKernel{1024}, o);
   EXPECT_DOUBLE_EQ(s.trace.divergent_branch_fraction(), 0.0);
 }
@@ -283,7 +275,6 @@ TEST(Launch, ConstantBroadcastIsFree) {
   auto c = dev.alloc_constant<float>(16);
   auto o = dev.alloc<float>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(256), opt, ConstBroadcastKernel{}, c, o);
   EXPECT_EQ(s.trace.total.const_extra_passes, 0u);
@@ -294,7 +285,6 @@ TEST(Launch, ConstantDivergentSerializes) {
   auto c = dev.alloc_constant<float>(16);
   auto o = dev.alloc<float>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s =
       launch(dev, Dim3(1), Dim3(256), opt, ConstDivergentKernel{}, c, o);
@@ -307,7 +297,6 @@ TEST(Launch, BankConflictsMeasured) {
   Device dev;
   auto o = dev.alloc<float>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(256), opt, BankConflictKernel{}, o);
   // Every shared store is a 16-way conflict: 15 extra passes per half-warp.
@@ -319,7 +308,6 @@ TEST(Launch, TextureCacheObservedInTrace) {
   auto t = dev.alloc_texture<float>(64);  // tiny table: high hit rate
   auto o = dev.alloc<float>(512);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s =
       launch(dev, Dim3(2), Dim3(256), opt, TextureStreamKernel{}, t, o);
@@ -349,7 +337,6 @@ TEST(Launch, TimingExtrapolatesAcrossGrid) {
   Device dev;
   auto d = dev.alloc<float>(1 << 16);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.functional = false;
   const auto small = launch(dev, Dim3(64), Dim3(256), opt, Mad4Kernel{}, d);
   const auto big = launch(dev, Dim3(256), Dim3(256), opt, Mad4Kernel{}, d);
@@ -484,7 +471,6 @@ TEST(LaunchStatus, OutOfBoundsAccessIsInvalidAddress) {
   Device dev;
   auto d = dev.alloc<float>(16);
   LaunchOptions opt;
-  opt.uses_sync = false;
   const auto [code, msg] = catch_status([&] {
     launch(dev, Dim3(1), Dim3(1), opt, OobKernel{}, d);
   });
@@ -497,7 +483,6 @@ TEST(LaunchStatus, SuccessfulLaunchLeavesStatusClean) {
   Device dev;
   auto out = dev.alloc<int>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   launch(dev, Dim3(4), Dim3(64), opt, FillIndexKernel{256}, out);
   EXPECT_EQ(dev.get_last_error(), Status::kSuccess);
 }

@@ -75,7 +75,6 @@ struct Mad4Kernel {  // 4 mads + 1 coalesced load + 1 coalesced store
 
 LaunchOptions exact_options() {
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;  // single-block grids below: the trace is exact
   return opt;
 }
@@ -170,7 +169,6 @@ TEST(ProfCounters, OccupancyFieldsMatchLaunchStats) {
   auto in = dev.alloc<float>(4096);
   auto out = dev.alloc<float>(4096);
   LaunchOptions opt;
-  opt.uses_sync = false;
   const auto s = launch(dev, Dim3(16), Dim3(256), opt, CoalescedLoadKernel{},
                         in, out);
   const auto c = prof::derive_counters(dev.spec(), s);
@@ -235,7 +233,6 @@ TEST(Profiler, AttachingASinkDoesNotPerturbResults) {
     auto d = dev.alloc<float>(n);
     d.copy_from_host(host);
     LaunchOptions opt;
-    opt.uses_sync = false;
     opt.prof.sink = sink;
     opt.prof.kernel_name = "mad4";
     launch(dev, Dim3(n / 64), Dim3(64), opt, Mad4Kernel{}, d);

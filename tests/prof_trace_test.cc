@@ -118,7 +118,6 @@ TEST(RuntimeProfiling, RecordsLaunchesAndTransfersAcrossStreams) {
   rt::Stream s0 = r.stream_create();
   rt::Stream s1 = r.stream_create();
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.prof.kernel_name = "scale2";
   r.memcpy_h2d_async(s0, d0, h0);
   r.launch_async(s0, Dim3(n / 256), Dim3(256), opt, nullptr,
@@ -176,7 +175,6 @@ TEST(RuntimeProfiling, ProfiledTimelineExportsWithDistinctTracks) {
   auto o = dev.alloc<float>(n);
   rt::Stream s = r.stream_create();
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.prof.kernel_name = "scale2";
   r.memcpy_h2d_async(s, d, h);
   r.launch_async(s, Dim3(64), Dim3(256), opt, nullptr, ScaleKernel{2.0f}, d,
@@ -200,7 +198,6 @@ TEST(RuntimeProfiling, NoProfilerMeansNoBlockSpans) {
   auto o = dev.alloc<float>(n);
   rt::Stream s = r.stream_create();
   LaunchOptions opt;
-  opt.uses_sync = false;
   r.launch_async(s, Dim3(64), Dim3(256), opt, nullptr, ScaleKernel{2.0f}, d,
                  o);
   r.device_synchronize();

@@ -137,7 +137,6 @@ TEST(ResilWatchdog, ModeledTimeoutRejectsOverBudgetKernel) {
   Device dev;
   auto out = dev.alloc<int>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.resilience.enabled = true;
   opt.resilience.modeled_timeout_s = 1e-12;  // any kernel exceeds this
   opt.resilience.max_retries = 0;
@@ -157,7 +156,6 @@ TEST(ResilRetry, TransientFailuresRecoveredWithBackoffHistory) {
   const int n = 256;
   auto out = dev.alloc<int>(n);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.resilience.enabled = true;
   opt.resilience.max_retries = 2;
   opt.resilience.inject_transient_failures = 2;
@@ -299,7 +297,6 @@ TEST(ResilStream, ThrowingKernelSurfacesAsStatusSynchronously) {
   Device dev;
   auto out = dev.alloc<int>(64);
   LaunchOptions opt;
-  opt.uses_sync = false;
   const auto [code, msg] = catch_status([&] {
     launch(dev, Dim3(1), Dim3(64), opt, ThrowingKernel{}, out);
   });
@@ -315,7 +312,6 @@ TEST(ResilStream, WorkerThreadExceptionSurfacesOnCaller) {
   WorkerPool pool(4);
   auto out = dev.alloc<int>(1024);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.pool = &pool;
   const auto [code, msg] = catch_status([&] {
     launch(dev, Dim3(16), Dim3(64), opt, ThrowingKernel{}, out);
@@ -333,7 +329,6 @@ TEST(ResilStream, AsyncKernelFailureIsolatedToItsStream) {
   auto bad_out = dev.alloc<int>(64);
   auto good_out = dev.alloc<int>(256);
   LaunchOptions opt;
-  opt.uses_sync = false;
   rt.launch_async(bad, Dim3(1), Dim3(64), opt, nullptr, ThrowingKernel{},
                   bad_out);
   rt.launch_async(good, Dim3(4), Dim3(64), opt, nullptr, FillKernel{256},
@@ -377,7 +372,6 @@ TEST(ResilStream, WatchdogTimeoutDoesNotWedgeSiblingStreams) {
   rt.launch_async(slow, Dim3(1), Dim3(32), wedge_opt, nullptr, WedgeKernel{},
                   slow_out);
   LaunchOptions opt;
-  opt.uses_sync = false;
   rt.launch_async(fast, Dim3(4), Dim3(64), opt, nullptr, FillKernel{256},
                   fast_out);
 
@@ -399,7 +393,6 @@ TEST(ResilStream, DeviceResetDrainsStreamsAndClearsTheirErrors) {
   auto s = rt.stream_create();
   auto out = dev.alloc<int>(64);
   LaunchOptions opt;
-  opt.uses_sync = false;
   rt.launch_async(s, Dim3(1), Dim3(64), opt, nullptr, ThrowingKernel{}, out);
   EXPECT_THROW(rt.stream_synchronize(s), StatusError);
   EXPECT_EQ(rt.stream_get_last_error(s), Status::kLaunchFailure);
@@ -429,7 +422,6 @@ TEST(ResilStream, ScopedLaunchPoolRestoredWhenLaunchThrows) {
     Device dev;
     auto out = dev.alloc<int>(64);
     LaunchOptions opt;
-    opt.uses_sync = false;
     EXPECT_THROW(launch(dev, Dim3(1), Dim3(64), opt, ThrowingKernel{}, out),
                  StatusError);
     // The throw unwound launch() but not the scope: still our pool.

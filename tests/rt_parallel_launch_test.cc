@@ -127,7 +127,6 @@ TEST(ParallelLaunch, MemSystemCountersMergePerBlock) {
     auto out = dev.alloc<float>(1024);
     in.fill(1.0f);
     LaunchOptions opt;
-    opt.uses_sync = false;
     opt.sample_blocks = 16;  // trace all 16 blocks, both patterns
     opt.pool = pool;
     return launch(dev, Dim3(16), Dim3(64), opt, PerBlockPatternKernel{}, in,
@@ -165,7 +164,6 @@ TEST(ParallelLaunch, LowestBlockErrorWinsDeterministically) {
     Device dev;
     auto out = dev.alloc<float>(256);
     LaunchOptions opt;
-    opt.uses_sync = false;
     opt.pool = pool;
     try {
       launch(dev, Dim3(8), Dim3(32), opt, FailLateBlocksKernel{}, out);

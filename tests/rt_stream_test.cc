@@ -44,12 +44,6 @@ struct OobStoreKernel {  // every thread stores past the end
   }
 };
 
-LaunchOptions fast_opts() {
-  LaunchOptions opt;
-  opt.uses_sync = false;  // kernels here never __syncthreads
-  return opt;
-}
-
 // Catch a StatusError from `fn`, returning its code and message.
 template <class Fn>
 std::pair<Status, std::string> catch_status(Fn&& fn) {
@@ -90,7 +84,7 @@ TEST(RtStream, H2dKernelD2hPipelineProducesResults) {
 
   LaunchStats stats;
   r.memcpy_h2d_async(s, in, host);
-  r.launch_async(s, Dim3(4), Dim3(64), fast_opts(), &stats,
+  r.launch_async(s, Dim3(4), Dim3(64), LaunchOptions{}, &stats,
                  ScaleKernel{3.0f}, in, out);
   std::vector<float> back;
   r.memcpy_d2h_async(s, back, out);
@@ -145,10 +139,10 @@ TEST(RtEvent, ElapsedTimesArePositiveAndAdditive) {
   auto e1 = r.event_create();
   auto e2 = r.event_create();
   r.event_record(s, e0);
-  r.launch_async(s, Dim3(2), Dim3(64), fast_opts(), nullptr, ScaleKernel{},
+  r.launch_async(s, Dim3(2), Dim3(64), LaunchOptions{}, nullptr, ScaleKernel{},
                  in, out);
   r.event_record(s, e1);
-  r.launch_async(s, Dim3(2), Dim3(64), fast_opts(), nullptr, ScaleKernel{},
+  r.launch_async(s, Dim3(2), Dim3(64), LaunchOptions{}, nullptr, ScaleKernel{},
                  in, out);
   r.event_record(s, e2);
   r.stream_synchronize(s);
@@ -196,10 +190,10 @@ TEST(RtTimeline, TwoStreamsOverlapCopyAndCompute) {
   std::vector<float> host(n, 1.0f);
 
   r.memcpy_h2d_async(s0, in0, host);
-  r.launch_async(s0, Dim3(n / 256), Dim3(256), fast_opts(), nullptr,
+  r.launch_async(s0, Dim3(n / 256), Dim3(256), LaunchOptions{}, nullptr,
                  ScaleKernel{}, in0, out0);
   r.memcpy_h2d_async(s1, in1, host);
-  r.launch_async(s1, Dim3(n / 256), Dim3(256), fast_opts(), nullptr,
+  r.launch_async(s1, Dim3(n / 256), Dim3(256), LaunchOptions{}, nullptr,
                  ScaleKernel{}, in1, out1);
 
   const double total = r.modeled_total_seconds();
@@ -236,9 +230,9 @@ TEST(RtTimeline, ModeledScheduleIsDeterministic) {
     std::vector<float> host(n, 2.0f);
     r.memcpy_h2d_async(s0, in0, host);
     r.memcpy_h2d_async(s1, in1, host);
-    r.launch_async(s0, Dim3(n / 128), Dim3(128), fast_opts(), nullptr,
+    r.launch_async(s0, Dim3(n / 128), Dim3(128), LaunchOptions{}, nullptr,
                    ScaleKernel{}, in0, out0);
-    r.launch_async(s1, Dim3(n / 128), Dim3(128), fast_opts(), nullptr,
+    r.launch_async(s1, Dim3(n / 128), Dim3(128), LaunchOptions{}, nullptr,
                    ScaleKernel{}, in1, out1);
     r.memcpy_d2h_async(s0, host, out0);
     return r.modeled_total_seconds();
@@ -319,8 +313,8 @@ TEST(RtStatus, AsyncFailureIsStickyAndSkipsLaterOps) {
   auto s = r.stream_create();
   auto out = dev.alloc<float>(8);
   std::atomic<bool> later_ran{false};
-  r.launch_async(s, Dim3(1), Dim3(32), fast_opts(), nullptr, OobStoreKernel{},
-                 out);
+  r.launch_async(s, Dim3(1), Dim3(32), LaunchOptions{}, nullptr,
+                 OobStoreKernel{}, out);
   r.host_func(s, [&later_ran] { later_ran = true; });
 
   const auto [code, msg] = catch_status([&] { r.stream_synchronize(s); });

@@ -296,6 +296,26 @@ TEST(ServeServer, FaultJobsReturnTypedErrorsAndAreNotCached) {
   server.shutdown();
 }
 
+TEST(ServeServer, SkipBarrierRefusedForBarrierFreeKernels) {
+  // A skipped barrier needs a kernel that has one.  The service tells from
+  // the request alone: saxpy and the naive matmuls never __syncthreads.
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("nobarrier");
+  Server server(cfg);
+  server.start();
+  Client client(cfg.socket_path);
+
+  for (JobRequest job : {saxpy_job(), matmul_job(64, "naive"),
+                         matmul_job(64, "naive_unrolled")}) {
+    job.fault.kind = "skip_barrier";
+    const Response r = client.call(job);
+    EXPECT_EQ(r.status, Status::kInvalidValue) << job.kernel << " "
+                                               << job.variant;
+    EXPECT_NE(r.error.find("skip_barrier"), std::string::npos) << r.error;
+  }
+  server.shutdown();
+}
+
 TEST(ServeServer, ModeledTimeoutFiresWithZeroSampleBlocks) {
   // A job asking for no trace samples still arms the modeled watchdog: the
   // launch traces the one block the watchdog needs.

@@ -144,7 +144,6 @@ inline TraceObserved run_divergent_trip_count() {
   const int n = 128;
   auto out = dev.alloc<float>(n);
   LaunchOptions opt;
-  opt.uses_sync = false;
   TraceObserved o;
   o.stats = launch(dev, Dim3(2), Dim3(64), opt, DivergentTripCountKernel{}, out);
   return o;
@@ -160,7 +159,6 @@ inline TraceObserved run_half_warp_arms() {
   a.copy_from_host(ha);
   b.copy_from_host(hb);
   LaunchOptions opt;
-  opt.uses_sync = false;
   TraceObserved o;
   o.stats = launch(dev, Dim3(2), Dim3(128), opt, HalfWarpArmsKernel{}, a, b, out);
   return o;
@@ -174,7 +172,6 @@ inline TraceObserved run_scattered_store() {
   std::vector<float> host(n, 1.0f);
   in.copy_from_host(host);
   LaunchOptions opt;
-  opt.uses_sync = false;
   TraceObserved o;
   o.stats = launch(dev, Dim3(n / 64), Dim3(64), opt, ScatteredStoreKernel{},
                    in, out);

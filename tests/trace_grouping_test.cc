@@ -43,7 +43,6 @@ TEST(TraceGrouping, DivergentExtraAccessesDoNotMisalignStream) {
   auto d = dev.alloc<float>(1024);
   auto o = dev.alloc<float>(32);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(32), opt, HaloThenStreamKernel{}, d, o);
 
@@ -83,7 +82,6 @@ TEST(TraceGrouping, LoopIterationsAreSeparateInstructions) {
   auto d = dev.alloc<float>(1024);
   auto o = dev.alloc<float>(32);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(32), opt, LoopedLoadKernel{}, d, o);
   EXPECT_EQ(s.trace.total.global_instructions, 6u);  // 5 loads + 1 store
@@ -109,7 +107,6 @@ TEST(TraceGrouping, BranchArmsAreSeparateInstructions) {
   Device dev;
   auto o = dev.alloc<float>(32);
   LaunchOptions opt;
-  opt.uses_sync = false;
   opt.sample_blocks = 1;
   const auto s = launch(dev, Dim3(1), Dim3(32), opt, TwoArmKernel{}, o);
   // Two warp-level stores, each with every other lane active.  Each active
