@@ -8,9 +8,8 @@
 // and Ultra (16 SMs, higher clocks) models.
 //
 // The second table ablates the *simulator's* execution engine on one fixed
-// workload: fiber engine (legacy ucontext vs the hand-rolled fast switch),
-// traced (4 sampled blocks) vs untraced (sample_blocks = 0), and worker
-// count.  It shows where the interpreter's wall time actually goes; the gated
+// workload: traced (4 sampled blocks) vs untraced (sample_blocks = 0), and
+// worker count, on the build's fiber engine (exec/fiber.h).  It shows where the interpreter's wall time actually goes; the gated
 // scalability curve with a checked-in baseline lives in bench/rt_throughput
 // (docs/performance.md).
 #include <chrono>
@@ -21,7 +20,6 @@
 #include "common/table.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
-#include "exec/fiber.h"
 #include "exec/worker_pool.h"
 
 using namespace g80;
@@ -30,8 +28,7 @@ using namespace g80::apps;
 namespace {
 
 // Wall time of one interpreted matmul launch under the given engine knobs.
-double interp_seconds(int n, int sample_blocks, int workers,
-                      Fiber::Backend backend) {
+double interp_seconds(int n, int sample_blocks, int workers) {
   Device dev;
   auto a = dev.alloc<float>(static_cast<std::size_t>(n) * n);
   auto b = dev.alloc<float>(static_cast<std::size_t>(n) * n);
@@ -44,7 +41,6 @@ double interp_seconds(int n, int sample_blocks, int workers,
   LaunchOptions opt;
   opt.regs_per_thread = 9;
   opt.sample_blocks = sample_blocks;
-  opt.fiber_backend = backend;
   WorkerPool pool(workers);
   if (workers > 1) opt.pool = &pool;
 
@@ -86,30 +82,26 @@ int main() {
                "(§1 principle 4)\n";
 
   // ---- Simulator interpreter-throughput ablation ------------------------
-  const int in = 256;  // small enough that the ucontext row stays snappy
+  const int in = 256;
   std::cout << "\nInterpreter ablation: one " << in << "x" << in
             << " tiled matmul launch, host wall time\n\n";
   struct Config {
     const char* name;
     int sample_blocks;
     int workers;
-    Fiber::Backend backend;
   };
   const Config configs[] = {
-      {"ucontext fibers, traced,   1 worker", 4, 1, Fiber::Backend::kUcontext},
-      {"fast fibers,     traced,   1 worker", 4, 1, Fiber::Backend::kFast},
-      {"fast fibers,     untraced, 1 worker", 0, 1, Fiber::Backend::kFast},
-      {"fast fibers,     untraced, 2 workers", 0, 2, Fiber::Backend::kFast},
-      {"fast fibers,     untraced, 4 workers", 0, 4, Fiber::Backend::kFast},
+      {"traced,   1 worker", 4, 1},
+      {"untraced, 1 worker", 0, 1},
+      {"untraced, 2 workers", 0, 2},
+      {"untraced, 4 workers", 0, 4},
   };
-  TextTable it({"engine configuration", "wall ms", "vs ucontext"});
-  const double base = interp_seconds(in, 4, 1, Fiber::Backend::kUcontext);
+  TextTable it({"engine configuration", "wall ms", "vs traced w1"});
+  const double base = interp_seconds(in, 4, 1);
   for (const auto& cfg : configs) {
-    const double s =
-        cfg.backend == Fiber::Backend::kUcontext && cfg.sample_blocks == 4 &&
-                cfg.workers == 1
-            ? base
-            : interp_seconds(in, cfg.sample_blocks, cfg.workers, cfg.backend);
+    const double s = cfg.sample_blocks == 4 && cfg.workers == 1
+                         ? base
+                         : interp_seconds(in, cfg.sample_blocks, cfg.workers);
     it.add_row({cfg.name, fixed(1e3 * s, 1), fixed(base / s, 2) + "x"});
   }
   it.print(std::cout);

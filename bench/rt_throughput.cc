@@ -1,24 +1,20 @@
 // g80rt throughput benchmark: what the runtime's two levers actually buy.
 //
 // 1. Interpreter scalability — the §4 matmul (tiled+unrolled, full grid):
-//    first a legacy reference (ucontext fiber engine, one worker — the
-//    interpreter exactly as it stood before the fast engine), then the
-//    default launch on the fast engine at 1/2/4/8 workers.  Every run's
-//    outputs and modeled stats must be bit-identical to the reference.  The
-//    bench FAILS (non-zero exit, which run_benches.sh turns into a flagged
-//    failure document) if the 4-worker launch is less than kFloorSpeedupW4
-//    times faster than the legacy reference — this is the CI floor for the
-//    engine's throughput.
+//    the default launch at 1/2/4/8 workers, on the build's fiber engine
+//    (exec/fiber.h).  The 1-worker run is the reference: every other run's
+//    outputs and modeled stats must be bit-identical to it, or the bench
+//    FAILS (non-zero exit, which run_benches.sh turns into a flagged
+//    failure document).  Wall-speed regressions of this launch are guarded
+//    by g80bench's `matmul512` workload, not here.
 //    NOTE on reading the curve: worker scaling buys wall time only up to the
-//    host's core count; on a single-core host the whole curve is flat and
-//    the speedup comes from the fast engine alone.
+//    host's core count; on a single-core host the whole curve is flat.
 // 2. Streams — the same four h2d→kernel→d2h pipelines pushed through one
 //    stream vs four, with measured wall-clock and the modeled
 //    serialized-vs-overlapped totals from the timeline.
 //
 // Emits the standard g80bench-result document (bench/harness.h); wall-clock
-// metrics carry the `wall_` prefix so the regression checker skips them,
-// and the gate row's `floor_` metric is one-sided (current >= baseline).
+// metrics carry the `wall_` prefix so the regression checker skips them.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -59,9 +55,6 @@ struct ScaleKernel {
 
 }  // namespace
 
-// Minimum acceptable (4-worker launch) vs (legacy reference) speedup.
-constexpr double kFloorSpeedupW4 = 2.5;
-
 // Pinned trace digest of the traced launch below, recorded when the
 // per-lane and batched recorders both produced it.
 constexpr std::uint64_t kTracedDigest = 0xe217d95445b9144full;
@@ -83,7 +76,7 @@ int main(int argc, char** argv) {
 
   // One timed launch.  The first call defines the reference outputs and
   // modeled time; every later call is compared against it byte-for-byte.
-  auto run_matmul = [&](int workers, Fiber::Backend backend) -> Run {
+  auto run_matmul = [&](int workers) -> Run {
     Device dev;
     auto a = dev.alloc<float>(wl.a.size());
     auto b = dev.alloc<float>(wl.b.size());
@@ -95,7 +88,6 @@ int main(int argc, char** argv) {
     LaunchOptions opt;
     opt.regs_per_thread = 9;
     opt.pool = workers > 1 ? &pool : nullptr;
-    opt.fiber_backend = backend;
 
     const double t0 = now_seconds();
     const LaunchStats stats = launch(dev, Dim3(n / tile, n / tile),
@@ -117,12 +109,9 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  // Legacy reference: the interpreter as it stood before this fast engine —
-  // ucontext switches, sequential blocks.
-  const Run legacy = run_matmul(1, Fiber::Backend::kUcontext);
   std::vector<std::pair<int, Run>> traced;
   for (int workers : {1, 2, 4, 8})
-    traced.emplace_back(workers, run_matmul(workers, Fiber::default_backend()));
+    traced.emplace_back(workers, run_matmul(workers));
 
   // ---- Part 1b: the traced path ----
   // A profiler-attached launch with a deep trace sample and no functional
@@ -199,36 +188,18 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   h.human() << "interpreter scalability, " << n << "x" << n << " matmul ("
             << (n / tile) * (n / tile) << " blocks):\n";
-  h.human() << "  legacy (ucontext, traced, w1): " << fixed(legacy.seconds, 4)
-            << " s wall\n";
-  {
-    auto& row = h.result("legacy_ucontext_w1");
-    row.set("wall_seconds", legacy.seconds);
-    row.set("bit_identical", 1);
-    row.set("modeled_kernel_seconds", legacy.timing_seconds);
-  }
-  double w4_speedup = 0;
   for (const auto& [workers, r] : traced) {
     all_identical = all_identical && r.bit_identical;
-    const double speedup = legacy.seconds / r.seconds;
+    const double speedup = traced.front().second.seconds / r.seconds;
     h.human() << "  traced   w" << workers << ": " << fixed(r.seconds, 4)
-              << " s wall (vs legacy " << fixed(speedup, 2)
+              << " s wall (vs w1 " << fixed(speedup, 2)
               << "x), bit identical: " << (r.bit_identical ? "yes" : "NO")
               << "\n";
     auto& row = h.result(cat("block_parallel_w", workers));
     row.set("wall_seconds", r.seconds);
-    row.set("wall_speedup", traced.front().second.seconds / r.seconds);
-    row.set("wall_speedup_vs_legacy", speedup);
+    row.set("wall_speedup", speedup);
     row.set("bit_identical", r.bit_identical ? 1 : 0);
     row.set("modeled_kernel_seconds", r.timing_seconds);
-    if (workers == 4) {
-      // The gate: floor_ metrics are one-sided in the regression checker
-      // (current >= baseline), so lowering the floor constant in this file
-      // below the checked-in baseline fails CI; the measured speedup itself
-      // is enforced by the non-zero exit below, not by the baseline diff.
-      w4_speedup = speedup;
-      row.set("floor_speedup_w4", kFloorSpeedupW4);
-    }
   }
   h.human() << "traced path (prof attached, sample_blocks=64, no functional "
                "pass): "
@@ -276,12 +247,6 @@ int main(int argc, char** argv) {
   const int rc = h.finish(spec_dev.spec());
   if (!all_identical) {
     std::cerr << "FAIL: outputs/stats diverged from the sequential reference\n";
-    return 1;
-  }
-  if (w4_speedup < kFloorSpeedupW4) {
-    std::cerr << "FAIL: 4-worker speedup " << fixed(w4_speedup, 2)
-              << "x vs legacy is below the " << fixed(kFloorSpeedupW4, 1)
-              << "x floor\n";
     return 1;
   }
   if (!traced_identical) {

@@ -4,9 +4,12 @@
 # Usage: scripts/check_sanitize.sh [build-dir]
 #
 # Uses the CMake `Sanitize` configuration defined in the top-level
-# CMakeLists.txt.  The ucontext fiber switches in src/exec/fiber.cc carry
-# __sanitizer_start/finish_switch_fiber annotations, so ASan's shadow stack
-# follows the simulated GPU threads correctly.
+# CMakeLists.txt.  This script is the ucontext fiber engine's coverage: an
+# ASan build selects that engine at compile time (src/exec/fiber.h), so the
+# whole suite — golden trace digests included — runs on it here, while a
+# plain x86-64 build runs the same suite on the fast switch.  The ucontext
+# switches in src/exec/fiber.cc carry __sanitizer_start/finish_switch_fiber
+# annotations, so ASan's shadow stack follows the simulated GPU threads.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

@@ -16,6 +16,8 @@
 // kernel calls __syncthreads: as on the G80, a barrier is just an
 // instruction, and nothing declares it at launch time.  The runner sees for
 // itself which threads park, so a barrier-free block runs on one fiber.
+// Nor does a launch pick the fiber switch engine: the build does
+// (exec/fiber.h), as the G80 runs every kernel on one thread scheduler.
 //
 // For very large grids (the 4096x4096 matmul of §4) callers disable the
 // functional pass and rely on the trace sample for timing; functional
@@ -118,11 +120,6 @@ struct LaunchOptions {
   int sample_blocks = 4;
   // Run the functional pass over the full grid.
   bool functional = true;
-  // Fiber switch engine for this launch's BlockRunners: the hand-rolled
-  // stack switch (default on non-sanitized x86-64) or the legacy glibc
-  // ucontext engine.  Semantics are identical; only switch cost differs.
-  // Requests for the fast engine degrade to ucontext where unsupported.
-  Fiber::Backend fiber_backend = Fiber::default_backend();
   // g80check: opt-in barrier-divergence and shared-memory-race validation
   // (plus deterministic fault injection).  Adds one extra pass over the
   // grid; launches with `enabled == false` execute exactly the seed paths.
@@ -193,26 +190,19 @@ namespace detail {
 // first and last block so grid-edge partial warps are represented.
 std::vector<std::uint64_t> pick_sample_blocks(std::uint64_t total, int n);
 
-// Per-slot BlockRunner scratch for the block-parallel passes.  Slot 0 is the
-// launch's primary runner; other slots get lazily-constructed clones touched
-// only by the worker thread owning that slot, so no locking is needed.
+// Per-slot BlockRunner scratch for the passes.  Every slot's runner is built
+// lazily, on the first block that slot runs, and touched only by the thread
+// owning that slot (slot 0 is the launching thread), so no locking is needed.
 class RunnerSet {
  public:
-  RunnerSet(BlockRunner* primary, int slots, int max_threads,
-            std::size_t smem_capacity,
-            Fiber::Backend backend = Fiber::default_backend())
-      : primary_(primary),
-        extras_(static_cast<std::size_t>(std::max(0, slots - 1))),
+  RunnerSet(int slots, int max_threads, std::size_t smem_capacity)
+      : runners_(static_cast<std::size_t>(slots)),
         max_threads_(max_threads),
-        smem_capacity_(smem_capacity),
-        backend_(backend) {}
+        smem_capacity_(smem_capacity) {}
 
   BlockRunner& at(int slot) {
-    if (slot == 0) return *primary_;
-    auto& r = extras_[static_cast<std::size_t>(slot - 1)];
-    if (!r)
-      r = std::make_unique<BlockRunner>(max_threads_, smem_capacity_,
-                                        backend_);
+    auto& r = runners_[static_cast<std::size_t>(slot)];
+    if (!r) r = std::make_unique<BlockRunner>(max_threads_, smem_capacity_);
     return *r;
   }
 
@@ -220,18 +210,16 @@ class RunnerSet {
   // identical for every block (the CUDA model), so the max over runners that
   // executed at least one block equals the sequential path's value.
   std::size_t smem_bytes_used() const {
-    std::size_t used = primary_->shared().bytes_used();
-    for (const auto& r : extras_)
+    std::size_t used = 0;
+    for (const auto& r : runners_)
       if (r) used = std::max(used, r->shared().bytes_used());
     return used;
   }
 
  private:
-  BlockRunner* primary_;
-  std::vector<std::unique_ptr<BlockRunner>> extras_;
+  std::vector<std::unique_ptr<BlockRunner>> runners_;
   int max_threads_;
   std::size_t smem_capacity_;
-  Fiber::Backend backend_;
 };
 
 // Dispatch body(slot, index) over [0, total): sequential on the caller when
@@ -348,10 +336,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   const int slots =
       pool != nullptr && pool->width() > 1 ? pool->width() : 1;
 
-  BlockRunner runner(threads, spec.shared_mem_per_sm, opt.fiber_backend);
-  runner.set_cancel_token(cancel);
-  detail::RunnerSet runners(&runner, slots, threads, spec.shared_mem_per_sm,
-                            opt.fiber_backend);
+  detail::RunnerSet runners(slots, threads, spec.shared_mem_per_sm);
 
   stats.grid = grid;
   stats.block = block;
@@ -428,6 +413,8 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
     // rewrites every output).
     if (sanitize_enabled) {
       Sanitizer san(opt.sanitize, spec.shared_mem_per_sm);
+      BlockRunner& runner = runners.at(0);
+      runner.set_cancel_token(cancel);
       runner.set_barrier_observer(&san);
       for (std::uint64_t b = 0; b < total_blocks; ++b) {
         BlockEnv env{&runner, grid, block,

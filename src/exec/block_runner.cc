@@ -31,9 +31,8 @@ std::byte* SharedArena::allocate(int tid, std::size_t bytes) {
   return storage_.data() + offset;
 }
 
-BlockRunner::BlockRunner(int max_threads, std::size_t smem_capacity,
-                         Fiber::Backend backend)
-    : backend_(backend), shared_(smem_capacity) {
+BlockRunner::BlockRunner(int max_threads, std::size_t smem_capacity)
+    : shared_(smem_capacity) {
   thread_fiber_.reserve(max_threads);
   status_.reserve(max_threads);
 }
@@ -62,7 +61,7 @@ void BlockRunner::fiber_entry(void* arg) {
 
 Fiber& BlockRunner::claim_fiber(int tid) {
   if (claimed_ == fibers_.size())
-    fibers_.push_back(std::make_unique<Fiber>(kStackBytes, backend_));
+    fibers_.push_back(std::make_unique<Fiber>(kStackBytes));
   Fiber* fiber = fibers_[claimed_++].get();
   ++started_;
   thread_fiber_[tid] = fiber;

@@ -103,10 +103,7 @@ class BlockRunner {
  public:
   // `max_threads` sizes the per-thread tables; `smem_capacity` is the SM's
   // shared memory size (a block exceeding it fails at launch, not here).
-  // `backend` picks the fiber switch engine (requests for the fast engine
-  // degrade to ucontext in sanitized builds — see Fiber).
-  BlockRunner(int max_threads, std::size_t smem_capacity,
-              Fiber::Backend backend = Fiber::default_backend());
+  BlockRunner(int max_threads, std::size_t smem_capacity);
 
   // Run `num_threads` threads, each executing body(tid).  Bodies may call
   // sync(tid) any number of times, or never.
@@ -156,7 +153,6 @@ class BlockRunner {
   // First thread at index >= from that is kRunning, or status_.size().
   int next_running(int from) const;
 
-  Fiber::Backend backend_;
   // Every fiber built.  A run claims them in order and releases none before
   // its first pass has started every thread, so the free ones are exactly
   // fibers_[claimed_..]; an aborted run's parked fibers are re-armed then.

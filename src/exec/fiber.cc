@@ -6,47 +6,6 @@
 
 #include "common/error.h"
 
-// AddressSanitizer must be told about every stack switch, or its shadow
-// memory still describes the old stack and fake-stack frames are freed under
-// a live fiber.  The annotations follow the protocol in
-// <sanitizer/common_interface_defs.h>: start_switch before leaving a
-// context, finish_switch immediately after arriving in one.
-#if defined(__SANITIZE_ADDRESS__)
-#define G80_ASAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define G80_ASAN_FIBERS 1
-#endif
-#endif
-
-#ifdef G80_ASAN_FIBERS
-#include <sanitizer/common_interface_defs.h>
-#endif
-
-// ThreadSanitizer needs the same courtesy via its own fiber API: each fiber
-// gets a __tsan_create_fiber context, and every swapcontext is preceded by
-// __tsan_switch_to_fiber naming the destination.  Otherwise TSan attributes
-// fiber frames to the scheduler's stack and reports phantom races.
-#if defined(__SANITIZE_THREAD__)
-#define G80_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define G80_TSAN_FIBERS 1
-#endif
-#endif
-
-#ifdef G80_TSAN_FIBERS
-#include <sanitizer/tsan_interface.h>
-#endif
-
-// The hand-rolled switch has no sanitizer annotations by design — it is only
-// eligible when neither sanitizer is instrumenting stacks.
-#if defined(__x86_64__) && !defined(G80_ASAN_FIBERS) && !defined(G80_TSAN_FIBERS)
-#define G80_FIBER_FAST 1
-#else
-#define G80_FIBER_FAST 0
-#endif
-
 #if G80_FIBER_FAST
 extern "C" {
 // fiber_ctx.S: save callee-saved state on the current stack, store the
@@ -56,9 +15,24 @@ void g80_ctx_swap(void** save_sp, void* load_sp) noexcept;
 // address of a freshly armed stack).
 void g80_ctx_entry() noexcept;
 }
+#else
+// AddressSanitizer must be told about every stack switch, or its shadow
+// memory still describes the old stack and fake-stack frames are freed under
+// a live fiber.  The annotations follow the protocol in
+// <sanitizer/common_interface_defs.h>: start_switch before leaving a
+// context, finish_switch immediately after arriving in one.
+#ifdef G80_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
 #endif
 
-namespace g80 {
+// ThreadSanitizer needs the same courtesy via its own fiber API: each fiber
+// gets a __tsan_create_fiber context, and every swapcontext is preceded by
+// __tsan_switch_to_fiber naming the destination.  Otherwise TSan attributes
+// fiber frames to the scheduler's stack and reports phantom races.
+#ifdef G80_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace {
 
 inline void asan_start_switch(void** fake_stack_save, const void* bottom,
@@ -112,52 +86,52 @@ inline void tsan_switch_to(void* fiber) {
 }
 
 }  // namespace
+#endif  // G80_FIBER_FAST
+
+namespace g80 {
 
 // resume() builds one of these on the scheduler's stack.  yield_to() hands
 // the pointer down the chain; the fiber that yields or finishes names itself
 // in `from` and switches back through it.
 struct Fiber::Return {
-  void* sp = nullptr;  // fast engine: the scheduler's saved stack pointer
-  ucontext_t ctx;      // ucontext engine: the scheduler's saved context
-  Fiber* from = nullptr;
+#if G80_FIBER_FAST
+  void* sp = nullptr;  // the scheduler's saved stack pointer
+#else
+  ucontext_t ctx;  // the scheduler's saved context
   // Scheduler-stack bounds for the ASan annotations, learned by the first
   // fiber to arrive from the scheduler (zero in non-ASan builds).
   const void* stack_bottom = nullptr;
   std::size_t stack_size = 0;
   void* tsan_fiber = nullptr;  // the scheduler's TSan context
+#endif
+  Fiber* from = nullptr;
 };
 
-bool Fiber::fast_backend_supported() { return G80_FIBER_FAST != 0; }
-
-Fiber::Backend Fiber::default_backend() {
-  return G80_FIBER_FAST ? Backend::kFast : Backend::kUcontext;
-}
-
-Fiber::Fiber(std::size_t stack_bytes, Backend backend)
-    : stack_(stack_bytes),
-      backend_(backend == Backend::kFast && fast_backend_supported()
-                   ? Backend::kFast
-                   : Backend::kUcontext) {
+Fiber::Fiber(std::size_t stack_bytes) : stack_(stack_bytes) {
   G80_CHECK(stack_bytes >= 16 * 1024);
 }
 
-Fiber::~Fiber() { tsan_destroy_fiber(tsan_fiber_); }
+Fiber::~Fiber() {
+#if !G80_FIBER_FAST
+  tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
 
 void Fiber::start(std::function<void()> body) {
   body_ = std::move(body);
   raw_entry_ = nullptr;
   raw_arg_ = nullptr;
-  arm_common();
+  arm();
 }
 
 void Fiber::start(RawEntry entry, void* arg) {
   raw_entry_ = entry;
   raw_arg_ = arg;
   if (body_) body_ = nullptr;  // drop captures from a previous arming
-  arm_common();
+  arm();
 }
 
-void Fiber::arm_common() {
+void Fiber::arm() {
   // Re-arming is allowed from ANY state: after a sibling thread throws, a
   // launch is abandoned with fibers left kRunnable (armed, never entered) or
   // kSuspended (parked mid-kernel).  Both are re-armed from scratch; old
@@ -165,34 +139,6 @@ void Fiber::arm_common() {
   // acceptable in this fail-fast simulator.  The scheduler never calls
   // start() from inside a fiber, so the stack being rebuilt is never live.
   pending_exception_ = nullptr;
-
-  // A fresh TSan context per arming: an abandoned run's happens-before
-  // state must not leak into the next kernel on this reused stack.
-  tsan_destroy_fiber(tsan_fiber_);
-  tsan_fiber_ = tsan_create_fiber();
-
-  if (backend_ == Backend::kFast) {
-    arm_fast();
-  } else {
-    arm_ucontext();
-  }
-  state_ = State::kRunnable;
-}
-
-void Fiber::arm_ucontext() {
-  G80_CHECK(getcontext(&context_) == 0);
-  context_.uc_stack.ss_sp = stack_.data();
-  context_.uc_stack.ss_size = stack_.size();
-  context_.uc_link = nullptr;  // run_body switches out; it never returns
-
-  // makecontext only passes ints; split the pointer across two.
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  const auto hi = static_cast<unsigned>(self >> 32);
-  const auto lo = static_cast<unsigned>(self & 0xFFFFFFFFu);
-  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2, hi, lo);
-}
-
-void Fiber::arm_fast() {
 #if G80_FIBER_FAST
   // Build the initial frame g80_ctx_swap will restore; the layout contract
   // lives at the top of fiber_ctx.S.  Arming is just ~64 bytes of stores —
@@ -206,7 +152,7 @@ void Fiber::arm_fast() {
   put(16, 0);  // rbp
   put(24, 0);  // rbx
   put(32, reinterpret_cast<std::uint64_t>(this));  // r12 -> first argument
-  put(40, reinterpret_cast<std::uint64_t>(&Fiber::fast_trampoline));  // r13
+  put(40, reinterpret_cast<std::uint64_t>(&Fiber::trampoline));  // r13
   put(48, 0);  // r14
   put(56, 0);  // r15
   // Seed the fiber's FP control state from the arming thread's.
@@ -215,39 +161,62 @@ void Fiber::arm_fast() {
   asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
   std::memcpy(top - 64, &mxcsr, sizeof mxcsr);
   std::memcpy(top - 60, &fcw, sizeof fcw);
-  fast_sp_ = top - 64;
+  sp_ = top - 64;
 #else
-  G80_CHECK_MSG(false, "fast fiber backend is not available in this build");
+  // A fresh TSan context per arming: an abandoned run's happens-before
+  // state must not leak into the next kernel on this reused stack.
+  tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = tsan_create_fiber();
+
+  G80_CHECK(getcontext(&context_) == 0);
+  context_.uc_stack.ss_sp = stack_.data();
+  context_.uc_stack.ss_size = stack_.size();
+  context_.uc_link = nullptr;  // the trampoline switches out; it never returns
+
+  // makecontext only passes ints; split the pointer across two.
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  const auto hi = static_cast<unsigned>(self >> 32);
+  const auto lo = static_cast<unsigned>(self & 0xFFFFFFFFu);
+  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2, hi, lo);
 #endif
+  state_ = State::kRunnable;
 }
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  const auto self = (static_cast<std::uintptr_t>(hi) << 32) |
-                    static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Fiber*>(self)->run_body();
-}
-
-void Fiber::fast_trampoline(void* self_ptr) {
-#if G80_FIBER_FAST
-  auto* self = static_cast<Fiber*>(self_ptr);
+void Fiber::run_body() {
   try {
-    if (self->raw_entry_ != nullptr) {
-      self->raw_entry_(self->raw_arg_);
+    if (raw_entry_ != nullptr) {
+      raw_entry_(raw_arg_);
     } else {
-      self->body_();
+      body_();
     }
   } catch (...) {
-    self->pending_exception_ = std::current_exception();
+    pending_exception_ = std::current_exception();
   }
-  self->state_ = State::kDone;
-  self->return_->from = self;
+  state_ = State::kDone;
+  return_->from = this;
+}
+
+#if G80_FIBER_FAST
+void Fiber::trampoline(void* self_ptr) {
+  auto* self = static_cast<Fiber*>(self_ptr);
+  self->run_body();
   // Final switch out; this stack is dead, the saved sp is never resumed.
   void* dead_sp = nullptr;
   g80_ctx_swap(&dead_sp, self->return_->sp);
   __builtin_unreachable();
+}
 #else
-  (void)self_ptr;
-#endif
+void Fiber::trampoline(unsigned hi, unsigned lo) {
+  auto* self = reinterpret_cast<Fiber*>(
+      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+  self->arrive(nullptr);  // first entry onto this stack: no fake stack
+  self->run_body();
+  // nullptr fake-stack save: this fiber's frames are dead after the switch.
+  const Return& ret = *self->return_;
+  asan_start_switch(nullptr, ret.stack_bottom, ret.stack_size);
+  tsan_switch_to(ret.tsan_fiber);
+  setcontext(&ret.ctx);
+  std::abort();  // setcontext returns only on failure
 }
 
 // Runs on every arrival onto this fiber's stack.  The first arrival after a
@@ -263,26 +232,7 @@ void Fiber::arrive(void* fake_stack_save) {
     return_->stack_size = size;
   }
 }
-
-void Fiber::run_body() {
-  arrive(nullptr);  // first entry onto this stack: no fake stack to restore
-  try {
-    if (raw_entry_ != nullptr) {
-      raw_entry_(raw_arg_);
-    } else {
-      body_();
-    }
-  } catch (...) {
-    pending_exception_ = std::current_exception();
-  }
-  state_ = State::kDone;
-  return_->from = this;
-  // nullptr fake-stack save: this fiber's frames are dead after the switch.
-  asan_start_switch(nullptr, return_->stack_bottom, return_->stack_size);
-  tsan_switch_to(return_->tsan_fiber);
-  setcontext(&return_->ctx);
-  std::abort();  // setcontext returns only on failure
-}
+#endif
 
 Fiber::State Fiber::resume() {
   G80_CHECK_MSG(state_ == State::kRunnable || state_ == State::kSuspended,
@@ -291,18 +241,15 @@ Fiber::State Fiber::resume() {
   Return ret;
   return_ = &ret;
 #if G80_FIBER_FAST
-  if (backend_ == Backend::kFast) {
-    g80_ctx_swap(&ret.sp, fast_sp_);
-  } else
+  g80_ctx_swap(&ret.sp, sp_);
+#else
+  ret.tsan_fiber = tsan_current_fiber();
+  void* fake_stack_save = nullptr;
+  asan_start_switch(&fake_stack_save, stack_.data(), stack_.size());
+  tsan_switch_to(tsan_fiber_);
+  G80_CHECK(swapcontext(&ret.ctx, &context_) == 0);
+  asan_finish_switch(fake_stack_save, nullptr, nullptr);
 #endif
-  {
-    ret.tsan_fiber = tsan_current_fiber();
-    void* fake_stack_save = nullptr;
-    asan_start_switch(&fake_stack_save, stack_.data(), stack_.size());
-    tsan_switch_to(tsan_fiber_);
-    G80_CHECK(swapcontext(&ret.ctx, &context_) == 0);
-    asan_finish_switch(fake_stack_save, nullptr, nullptr);
-  }
   Fiber* back = ret.from;
   if (back->pending_exception_) {
     auto ex = back->pending_exception_;
@@ -316,38 +263,33 @@ void Fiber::yield() {
   state_ = State::kSuspended;
   return_->from = this;
 #if G80_FIBER_FAST
-  if (backend_ == Backend::kFast) {
-    g80_ctx_swap(&fast_sp_, return_->sp);
-    return;
-  }
-#endif
+  g80_ctx_swap(&sp_, return_->sp);
+#else
   void* fake_stack_save = nullptr;
   asan_start_switch(&fake_stack_save, return_->stack_bottom,
                     return_->stack_size);
   tsan_switch_to(return_->tsan_fiber);
   G80_CHECK(swapcontext(&context_, &return_->ctx) == 0);
   arrive(fake_stack_save);
+#endif
 }
 
 void Fiber::yield_to(Fiber& next) {
-  G80_CHECK_MSG(&next != this && next.backend_ == backend_ &&
-                    (next.state_ == State::kRunnable ||
-                     next.state_ == State::kSuspended),
-                "handoff to a fiber that is not paused on the same engine");
+  G80_CHECK_MSG(&next != this && (next.state_ == State::kRunnable ||
+                                  next.state_ == State::kSuspended),
+                "handoff to a fiber that is not paused");
   state_ = State::kSuspended;
   next.state_ = State::kRunnable;
   next.return_ = return_;
 #if G80_FIBER_FAST
-  if (backend_ == Backend::kFast) {
-    g80_ctx_swap(&fast_sp_, next.fast_sp_);
-    return;
-  }
-#endif
+  g80_ctx_swap(&sp_, next.sp_);
+#else
   void* fake_stack_save = nullptr;
   asan_start_switch(&fake_stack_save, next.stack_.data(), next.stack_.size());
   tsan_switch_to(next.tsan_fiber_);
   G80_CHECK(swapcontext(&context_, &next.context_) == 0);
   arrive(fake_stack_save);
+#endif
 }
 
 }  // namespace g80

@@ -12,28 +12,52 @@
 // handoffs costs one stack switch per fiber; resume() returns when the last
 // fiber of the chain yields or finishes.
 //
-// Two interchangeable switch engines sit behind the same interface:
+// The build picks one stack-switch engine (G80_FIBER_FAST below); there is
+// no run-time choice:
 //
-//  - kFast: a hand-rolled x86-64 stack switch (fiber_ctx.S) that swaps only
-//    the callee-saved registers and FP control words.  A resume + yield
-//    round trip is ~40-50 ns on a 4-core x86-64 host.  This is the default
-//    on non-sanitized x86-64 builds.
-//  - kUcontext: glibc swapcontext, which performs an rt_sigprocmask syscall
-//    per switch (~300 ns + syscall).  Required under ASan/TSan — the fast
-//    engine has no sanitizer fiber annotations — and on other architectures;
-//    also selectable per launch via LaunchOptions::fiber_backend, as the
-//    bench reference for the old interpreter's cost and for the fuzz tests.
+//  - fast (G80_FIBER_FAST == 1): a hand-rolled x86-64 stack switch
+//    (fiber_ctx.S) that swaps only the callee-saved registers and FP control
+//    words.  A resume + yield round trip is ~40-50 ns on a 4-core x86-64
+//    host.  Every non-sanitized x86-64 build uses it.
+//  - ucontext (G80_FIBER_FAST == 0): glibc swapcontext, which performs an
+//    rt_sigprocmask syscall per switch (~300 ns + syscall).  ASan/TSan
+//    builds use it — only this engine carries the sanitizer fiber
+//    annotations — and so does every other CPU.
 //
 // Both engines are bit-identical in observable behaviour (scheduling order,
-// exception propagation, barrier counts); tests/exec_fastpath_test.cc
-// asserts this directly.
+// exception propagation, barrier counts): the same test suite, golden trace
+// digests included, passes in a plain x86-64 build (fast) and under
+// scripts/check_sanitize.sh and scripts/check_tsan.sh (ucontext).
 #pragma once
 
+// The engine depends only on compiler-wide predefined macros (target CPU,
+// -fsanitize), so every file of a build sees the same Fiber layout.
+#if defined(__SANITIZE_ADDRESS__)
+#define G80_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define G80_ASAN_FIBERS 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define G80_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define G80_TSAN_FIBERS 1
+#endif
+#endif
+
+#if defined(__x86_64__) && !defined(G80_ASAN_FIBERS) && !defined(G80_TSAN_FIBERS)
+#define G80_FIBER_FAST 1
+#else
+#define G80_FIBER_FAST 0
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace g80 {
@@ -41,20 +65,9 @@ namespace g80 {
 class Fiber {
  public:
   enum class State { kIdle, kRunnable, kSuspended, kDone };
-  enum class Backend { kFast, kUcontext };
 
-  // True when the hand-rolled switch is usable in this build (x86-64,
-  // no ASan/TSan instrumentation).
-  static bool fast_backend_supported();
-
-  // The build-time choice: kFast when supported, else kUcontext.
-  static Backend default_backend();
-
-  // Requests for kFast degrade silently to kUcontext when unsupported, so
-  // callers can pass a backend through unconditionally.
-  explicit Fiber(std::size_t stack_bytes = 128 * 1024,
-                 Backend backend = default_backend());
-  ~Fiber();  // releases the TSan fiber context in sanitized builds
+  explicit Fiber(std::size_t stack_bytes = 128 * 1024);
+  ~Fiber();  // releases the TSan fiber context in TSan builds
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -84,25 +97,30 @@ class Fiber {
   void yield_to(Fiber& next);
 
   State state() const { return state_; }
-  Backend backend() const { return backend_; }
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
-  static void fast_trampoline(void* self);
   // The scheduler frame a chain of fibers returns to; defined in fiber.cc.
   struct Return;
 
-  void arm_common();
-  void arm_ucontext();
-  void arm_fast();
+  void arm();
+  // Runs the body, keeps any exception for resume() and marks the fiber
+  // done; the engine's trampoline then switches out for the last time.
   void run_body();
-  void arrive(void* fake_stack_save);
 
   std::vector<char> stack_;
-  Backend backend_;
+#if G80_FIBER_FAST
+  static void trampoline(void* self);
+  // Saved stack pointer (valid while the fiber is parked).
+  void* sp_ = nullptr;
+#else
+  static void trampoline(unsigned hi, unsigned lo);
+  void arrive(void* fake_stack_save);
   ucontext_t context_{};
-  // Fast-engine saved stack pointer (valid while the fiber is parked).
-  void* fast_sp_ = nullptr;
+  // ThreadSanitizer fiber context (nullptr in non-TSan builds).  Without it
+  // TSan's shadow stack is left describing the scheduler while fiber frames
+  // execute, producing bogus races and stack-corruption reports.
+  void* tsan_fiber_ = nullptr;
+#endif
   // Where to give control back; set by resume() or by the fiber that
   // handed off to this one, valid while the fiber runs.
   Return* return_ = nullptr;
@@ -111,10 +129,6 @@ class Fiber {
   std::function<void()> body_;
   std::exception_ptr pending_exception_;
   State state_ = State::kIdle;
-  // ThreadSanitizer fiber context (nullptr in non-TSan builds).  Without it
-  // TSan's shadow stack is left describing the scheduler while fiber frames
-  // execute, producing bogus races and stack-corruption reports.
-  void* tsan_fiber_ = nullptr;
 };
 
 }  // namespace g80

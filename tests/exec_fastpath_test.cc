@@ -1,6 +1,8 @@
-// Execution-engine throughput levers: the fast fiber switch engine, the
-// block scheduling pass and its barrier handoff chain, sample-free
-// (sample_blocks = 0) launches, and work-stealing dispatch.
+// Execution-engine throughput levers: the block scheduling pass and its
+// barrier handoff chain, sample-free (sample_blocks = 0) launches, and
+// work-stealing dispatch.  The fiber switch engine is the build's (see
+// exec/fiber.h); the same tests run on the ucontext engine under
+// scripts/check_sanitize.sh and scripts/check_tsan.sh.
 //
 // The contract under test everywhere: none of these levers may change
 // observable results.  Outputs are bit-identical to the traced sequential
@@ -24,125 +26,11 @@
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
 #include "exec/block_runner.h"
-#include "exec/fiber.h"
 #include "exec/worker_pool.h"
 #include "resil/resilience.h"
 
 namespace g80 {
 namespace {
-
-// ---- Fiber engines behave identically -----------------------------------------
-
-std::vector<Fiber::Backend> backends_under_test() {
-  std::vector<Fiber::Backend> b{Fiber::Backend::kUcontext};
-  if (Fiber::fast_backend_supported()) b.push_back(Fiber::Backend::kFast);
-  return b;
-}
-
-TEST(FiberBackend, YieldOrderAndReuseMatchAcrossEngines) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    Fiber f(64 * 1024, backend);
-    std::vector<int> order;
-    f.start([&] {
-      order.push_back(1);
-      f.yield();
-      order.push_back(3);
-    });
-    order.push_back(0);
-    EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
-    order.push_back(2);
-    EXPECT_EQ(f.resume(), Fiber::State::kDone);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-
-    // Re-arm the same fiber (stack reuse) with the raw entry overload.
-    struct Box {
-      Fiber* fiber;
-      int hits = 0;
-    } box{&f};
-    f.start(
-        +[](void* arg) {
-          auto* b = static_cast<Box*>(arg);
-          ++b->hits;
-          b->fiber->yield();
-          ++b->hits;
-        },
-        &box);
-    EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
-    EXPECT_EQ(box.hits, 1);
-    EXPECT_EQ(f.resume(), Fiber::State::kDone);
-    EXPECT_EQ(box.hits, 2);
-  }
-}
-
-TEST(FiberBackend, ExceptionsRethrowOnSchedulerStack) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    Fiber f(64 * 1024, backend);
-    f.start([&] {
-      f.yield();
-      throw std::runtime_error("late failure");
-    });
-    EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
-    EXPECT_THROW(f.resume(), std::runtime_error);
-    EXPECT_EQ(f.state(), Fiber::State::kDone);
-  }
-}
-
-TEST(FiberBackend, HandoffReturnsThroughTheChain) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    Fiber a(64 * 1024, backend), b(64 * 1024, backend);
-    std::vector<int> order;
-    a.start([&] {
-      order.push_back(1);
-      a.yield_to(b);  // b's first entry comes from a, not the scheduler
-      order.push_back(4);
-    });
-    b.start([&] {
-      order.push_back(2);
-      b.yield();  // returns from the resume() that entered a
-      order.push_back(3);
-      b.yield_to(a);
-      throw std::runtime_error("after the handoff back");
-    });
-    // One resume() runs a then b; the state is the one b left behind.
-    EXPECT_EQ(a.resume(), Fiber::State::kSuspended);
-    EXPECT_EQ(a.state(), Fiber::State::kSuspended);
-    EXPECT_EQ(b.state(), Fiber::State::kSuspended);
-    // Resuming b hands back to a, which finishes: kDone is a's.
-    EXPECT_EQ(b.resume(), Fiber::State::kDone);
-    EXPECT_EQ(a.state(), Fiber::State::kDone);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-    // b is still parked in its handoff; resuming it runs it to the throw.
-    EXPECT_THROW(b.resume(), std::runtime_error);
-    EXPECT_EQ(b.state(), Fiber::State::kDone);
-  }
-}
-
-TEST(FiberBackend, HandoffRethrowsFromTheFiberThatGaveControlBack) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    Fiber a(64 * 1024, backend), b(64 * 1024, backend);
-    a.start([&] { a.yield_to(b); });
-    b.start([] { throw std::runtime_error("thrown by b"); });
-    try {
-      a.resume();
-      FAIL() << "b's exception did not surface from a.resume()";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "thrown by b");
-    }
-    EXPECT_EQ(a.state(), Fiber::State::kSuspended);
-    EXPECT_EQ(b.state(), Fiber::State::kDone);
-    EXPECT_EQ(a.resume(), Fiber::State::kDone);  // a itself is unharmed
-  }
-}
-
-TEST(FiberBackend, UnsupportedFastRequestDegradesToUcontext) {
-  if (Fiber::fast_backend_supported()) {
-    Fiber f(64 * 1024, Fiber::Backend::kFast);
-    EXPECT_EQ(f.backend(), Fiber::Backend::kFast);
-  } else {
-    Fiber f(64 * 1024, Fiber::Backend::kFast);
-    EXPECT_EQ(f.backend(), Fiber::Backend::kUcontext);
-  }
-}
 
 // ---- Block scheduling sweep ----------------------------------------------------
 
@@ -176,23 +64,21 @@ void run_divergent_block(BlockRunner& r, int threads,
 }
 
 TEST(BlockSweep, DivergentExitMatchesObservedRun) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    for (int threads : {1, 31, 32, 33, 96, 256}) {
-      BlockRunner plain(threads, 16 * 1024, backend);
-      std::vector<int> plain_out;
-      run_divergent_block(plain, threads, plain_out, nullptr);
-      const int plain_barriers = plain.barriers_executed();
+  for (int threads : {1, 31, 32, 33, 96, 256}) {
+    BlockRunner plain(threads, 16 * 1024);
+    std::vector<int> plain_out;
+    run_divergent_block(plain, threads, plain_out, nullptr);
+    const int plain_barriers = plain.barriers_executed();
 
-      BlockRunner observed(threads, 16 * 1024, backend);
-      std::vector<int> observed_out;
-      NoopObserver obs;
-      run_divergent_block(observed, threads, observed_out, &obs);
+    BlockRunner observed(threads, 16 * 1024);
+    std::vector<int> observed_out;
+    NoopObserver obs;
+    run_divergent_block(observed, threads, observed_out, &obs);
 
-      EXPECT_EQ(plain_out, observed_out) << threads << " threads";
-      EXPECT_EQ(plain_barriers, observed.barriers_executed())
-          << threads << " threads";
-      EXPECT_EQ(obs.releases_, observed.barriers_executed());
-    }
+    EXPECT_EQ(plain_out, observed_out) << threads << " threads";
+    EXPECT_EQ(plain_barriers, observed.barriers_executed())
+        << threads << " threads";
+    EXPECT_EQ(obs.releases_, observed.barriers_executed());
   }
 }
 
@@ -218,52 +104,48 @@ TEST(BlockSweep, FullyConvergedWarpsKeepBarrierSemantics) {
 // only exits, exceptions and the pass's last park return to the scheduler.
 
 TEST(HandoffChain, ThrowAfterHandoffStopsThePassAndRunnerRecovers) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    const int threads = 8;
-    BlockRunner r(threads, 16 * 1024, backend);
-    std::vector<int> before(threads, 0), after(threads, 0);
-    // Thread 3 throws in the second pass, where threads 1..7 are entered by
-    // the handoff from their predecessor rather than by the scheduler.
-    EXPECT_THROW(r.run(threads,
-                       [&](int tid) {
-                         ++before[tid];
-                         r.sync(tid);
-                         if (tid == 3) throw std::runtime_error("thread 3");
-                         ++after[tid];
-                         r.sync(tid);
-                       }),
-                 std::runtime_error);
-    EXPECT_EQ(before, std::vector<int>(threads, 1));
-    // Threads below the thrower ran their second phase; none after it did.
-    EXPECT_EQ(after, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
+  const int threads = 8;
+  BlockRunner r(threads, 16 * 1024);
+  std::vector<int> before(threads, 0), after(threads, 0);
+  // Thread 3 throws in the second pass, where threads 1..7 are entered by
+  // the handoff from their predecessor rather than by the scheduler.
+  EXPECT_THROW(r.run(threads,
+                     [&](int tid) {
+                       ++before[tid];
+                       r.sync(tid);
+                       if (tid == 3) throw std::runtime_error("thread 3");
+                       ++after[tid];
+                       r.sync(tid);
+                     }),
+               std::runtime_error);
+  EXPECT_EQ(before, std::vector<int>(threads, 1));
+  // Threads below the thrower ran their second phase; none after it did.
+  EXPECT_EQ(after, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
 
-    // The same runner re-arms every abandoned fiber for a clean block.
-    std::vector<int> slot(threads, -1), seen(threads, -1);
-    r.run(threads, [&](int tid) {
-      slot[tid] = tid * 10;
-      r.sync(tid);
-      seen[tid] = slot[(tid + 1) % threads];
-    });
-    EXPECT_EQ(r.barriers_executed(), 1);
-    for (int t = 0; t < threads; ++t)
-      EXPECT_EQ(seen[t], ((t + 1) % threads) * 10) << t;
-  }
+  // The same runner re-arms every abandoned fiber for a clean block.
+  std::vector<int> slot(threads, -1), seen(threads, -1);
+  r.run(threads, [&](int tid) {
+    slot[tid] = tid * 10;
+    r.sync(tid);
+    seen[tid] = slot[(tid + 1) % threads];
+  });
+  EXPECT_EQ(r.barriers_executed(), 1);
+  for (int t = 0; t < threads; ++t)
+    EXPECT_EQ(seen[t], ((t + 1) % threads) * 10) << t;
 }
 
 TEST(HandoffChain, LowestThrowingThreadOfThePassWins) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    BlockRunner r(16, 16 * 1024, backend);
-    try {
-      // Both throwers are entered by handoff in the second pass.
-      r.run(16, [&](int tid) {
-        r.sync(tid);
-        if (tid == 5 || tid == 9) throw std::runtime_error(std::to_string(tid));
-        r.sync(tid);
-      });
-      FAIL() << "no exception propagated";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "5");
-    }
+  BlockRunner r(16, 16 * 1024);
+  try {
+    // Both throwers are entered by handoff in the second pass.
+    r.run(16, [&](int tid) {
+      r.sync(tid);
+      if (tid == 5 || tid == 9) throw std::runtime_error(std::to_string(tid));
+      r.sync(tid);
+    });
+    FAIL() << "no exception propagated";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "5");
   }
 }
 
@@ -283,7 +165,7 @@ class RecordingObserver : public BarrierObserver {
   std::vector<std::vector<int>> rows;
 };
 
-TEST(HandoffChain, MixedExitsGiveTheSameSnapshotsOnBothEngines) {
+TEST(HandoffChain, MixedExitsGiveTheExpectedSnapshots) {
   const int threads = 40;
   // Thread 0 exits before any barrier, the last thread after one; the rest
   // exit after 0..4 barriers, so handoffs skip exited threads at every
@@ -296,6 +178,9 @@ TEST(HandoffChain, MixedExitsGiveTheSameSnapshotsOnBothEngines) {
   // Release e parks every thread with more than e trips, each at the site of
   // its (e+1)-th barrier, and reports the threads that ran exactly e.
   std::vector<std::vector<int>> expected;
+  // Between barriers the threads run in index order, so each thread reads
+  // its successor's value from before this pass.
+  std::vector<int> expected_out(threads, 0);
   for (int e = 0; e < 4; ++e) {
     std::vector<int> row{e, -1};
     for (int t = 0; t < threads; ++t)
@@ -304,56 +189,49 @@ TEST(HandoffChain, MixedExitsGiveTheSameSnapshotsOnBothEngines) {
     for (int t = 0; t < threads; ++t)
       if (trips(t) == e) row.push_back(t);
     expected.push_back(row);
+    for (int t = 0; t < threads; ++t)
+      if (trips(t) > e)
+        expected_out[t] =
+            expected_out[t] * 3 + expected_out[(t + 1) % threads] + e;
   }
 
-  std::vector<std::vector<std::vector<int>>> snapshots;
-  std::vector<std::vector<int>> outputs;
-  for (Fiber::Backend backend : backends_under_test()) {
-    BlockRunner r(threads, 16 * 1024, backend);
-    RecordingObserver obs;
-    std::vector<int> out(threads, 0);
-    r.set_barrier_observer(&obs);
-    r.run(threads, [&](int tid) {
-      for (int k = 0; k < trips(tid); ++k) {
-        out[tid] = out[tid] * 3 + out[(tid + 1) % threads] + k;
-        r.sync(tid, SyncPoint{static_cast<std::uint32_t>(100 + k)});
-      }
-    });
-    EXPECT_EQ(r.barriers_executed(), 4);
-    EXPECT_EQ(obs.rows, expected);
-    snapshots.push_back(obs.rows);
-    outputs.push_back(out);
-  }
-  for (std::size_t i = 1; i < outputs.size(); ++i) {
-    EXPECT_EQ(snapshots[i], snapshots[0]);
-    EXPECT_EQ(outputs[i], outputs[0]);
-  }
+  BlockRunner r(threads, 16 * 1024);
+  RecordingObserver obs;
+  std::vector<int> out(threads, 0);
+  r.set_barrier_observer(&obs);
+  r.run(threads, [&](int tid) {
+    for (int k = 0; k < trips(tid); ++k) {
+      out[tid] = out[tid] * 3 + out[(tid + 1) % threads] + k;
+      r.sync(tid, SyncPoint{static_cast<std::uint32_t>(100 + k)});
+    }
+  });
+  EXPECT_EQ(r.barriers_executed(), 4);
+  EXPECT_EQ(obs.rows, expected);
+  EXPECT_EQ(out, expected_out);
 }
 
 TEST(HandoffChain, SyncForeverBlockCancelsThroughWatchdog) {
-  for (Fiber::Backend backend : backends_under_test()) {
-    BlockRunner r(64, 16 * 1024, backend);
-    CancelToken token;
-    r.set_cancel_token(&token);
-    try {
-      Watchdog dog(&token, 0.05, "wedged block");
-      r.run(64, [&](int tid) {
-        for (;;) r.sync(tid);
-      });
-      FAIL() << "a block that synchronizes forever returned";
-    } catch (const StatusError& e) {
-      EXPECT_EQ(e.status(), Status::kTimeout);
-    }
-    EXPECT_GT(r.barriers_executed(), 0);
-    // Detached from the fired token, the runner runs a clean block.
-    r.set_cancel_token(nullptr);
-    std::vector<int> hits(64, 0);
+  BlockRunner r(64, 16 * 1024);
+  CancelToken token;
+  r.set_cancel_token(&token);
+  try {
+    Watchdog dog(&token, 0.05, "wedged block");
     r.run(64, [&](int tid) {
-      r.sync(tid);
-      ++hits[tid];
+      for (;;) r.sync(tid);
     });
-    EXPECT_EQ(hits, std::vector<int>(64, 1));
+    FAIL() << "a block that synchronizes forever returned";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status(), Status::kTimeout);
   }
+  EXPECT_GT(r.barriers_executed(), 0);
+  // Detached from the fired token, the runner runs a clean block.
+  r.set_cancel_token(nullptr);
+  std::vector<int> hits(64, 0);
+  r.run(64, [&](int tid) {
+    r.sync(tid);
+    ++hits[tid];
+  });
+  EXPECT_EQ(hits, std::vector<int>(64, 1));
 }
 
 // ---- Sample-free launches (sample_blocks = 0) ----------------------------------

@@ -1,9 +1,12 @@
 // Tests for the fiber engine and block runner: CUDA barrier semantics,
 // shared-memory arena layout, divergent-barrier detection, exception
-// propagation, and lazy fiber claiming.
+// propagation, fiber handoff, and lazy fiber claiming.  They exercise the
+// engine the build selected (exec/fiber.h): the fast switch in a plain
+// x86-64 build, ucontext under scripts/check_sanitize.sh / check_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/error.h"
@@ -47,6 +50,84 @@ TEST(Fiber, ExceptionPropagatesToScheduler) {
   f.start([] { throw Error("boom"); });
   EXPECT_THROW(f.resume(), Error);
   EXPECT_EQ(f.state(), Fiber::State::kDone);
+}
+
+TEST(Fiber, ExceptionAfterYieldRethrowsOnResume) {
+  Fiber f(64 * 1024);
+  f.start([&] {
+    f.yield();
+    throw std::runtime_error("late failure");
+  });
+  EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
+  EXPECT_THROW(f.resume(), std::runtime_error);
+  EXPECT_EQ(f.state(), Fiber::State::kDone);
+}
+
+TEST(Fiber, RawEntryRearmReusesTheStack) {
+  Fiber f(64 * 1024);
+  f.start([] {});
+  EXPECT_EQ(f.resume(), Fiber::State::kDone);
+
+  // Re-arm the same fiber (stack reuse) with the raw entry overload.
+  struct Box {
+    Fiber* fiber;
+    int hits = 0;
+  } box{&f};
+  f.start(
+      +[](void* arg) {
+        auto* b = static_cast<Box*>(arg);
+        ++b->hits;
+        b->fiber->yield();
+        ++b->hits;
+      },
+      &box);
+  EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
+  EXPECT_EQ(box.hits, 1);
+  EXPECT_EQ(f.resume(), Fiber::State::kDone);
+  EXPECT_EQ(box.hits, 2);
+}
+
+TEST(Fiber, HandoffReturnsThroughTheChain) {
+  Fiber a(64 * 1024), b(64 * 1024);
+  std::vector<int> order;
+  a.start([&] {
+    order.push_back(1);
+    a.yield_to(b);  // b's first entry comes from a, not the scheduler
+    order.push_back(4);
+  });
+  b.start([&] {
+    order.push_back(2);
+    b.yield();  // returns from the resume() that entered a
+    order.push_back(3);
+    b.yield_to(a);
+    throw std::runtime_error("after the handoff back");
+  });
+  // One resume() runs a then b; the state is the one b left behind.
+  EXPECT_EQ(a.resume(), Fiber::State::kSuspended);
+  EXPECT_EQ(a.state(), Fiber::State::kSuspended);
+  EXPECT_EQ(b.state(), Fiber::State::kSuspended);
+  // Resuming b hands back to a, which finishes: kDone is a's.
+  EXPECT_EQ(b.resume(), Fiber::State::kDone);
+  EXPECT_EQ(a.state(), Fiber::State::kDone);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  // b is still parked in its handoff; resuming it runs it to the throw.
+  EXPECT_THROW(b.resume(), std::runtime_error);
+  EXPECT_EQ(b.state(), Fiber::State::kDone);
+}
+
+TEST(Fiber, HandoffRethrowsFromTheFiberThatGaveControlBack) {
+  Fiber a(64 * 1024), b(64 * 1024);
+  a.start([&] { a.yield_to(b); });
+  b.start([] { throw std::runtime_error("thrown by b"); });
+  try {
+    a.resume();
+    FAIL() << "b's exception did not surface from a.resume()";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "thrown by b");
+  }
+  EXPECT_EQ(a.state(), Fiber::State::kSuspended);
+  EXPECT_EQ(b.state(), Fiber::State::kDone);
+  EXPECT_EQ(a.resume(), Fiber::State::kDone);  // a itself is unharmed
 }
 
 TEST(Fiber, ReusableAfterCompletion) {

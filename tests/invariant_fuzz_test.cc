@@ -20,19 +20,21 @@
 //      achieved DRAM bandwidth never exceeds the 86.4 GB/s hardware peak;
 //   5. the trace sample is invisible in results: for every random
 //      configuration, {sampled, sample_blocks = 0} x {sequential, pooled 2,
-//      pooled 4} x {fast/ucontext fiber engine} all produce bit-identical
-//      outputs, and the sample-free LaunchStats themselves are identical
-//      whichever scheduler ran them (empty trace/timing, same occupancy
-//      footprint);
+//      pooled 4} all produce bit-identical outputs, and the sample-free
+//      LaunchStats themselves are identical whichever scheduler ran them
+//      (empty trace/timing, same occupancy footprint);
 //   6. trace recording (cudalite/trace_arena.h) is schedule-independent:
-//      for every random configuration, {sequential, pooled 2, pooled 4} x
-//      {fast/ucontext fiber engine} agree with the sequential default-engine
-//      run on outputs, the full trace summary (including how many streams
-//      were regrouped), and modeled timing, bit for bit;
+//      for every random configuration, {pooled 2, pooled 4} agree with the
+//      sequential run on outputs, the full trace summary (including how
+//      many streams were regrouped), and modeled timing, bit for bit;
 //   7. fiber reuse is invisible: a kernel whose threads t >= k exit before
 //      the barrier (so one fiber carries several threads, and the rest each
 //      park on one of their own) matches a host-computed reference on every
-//      scheduler and fiber engine.
+//      scheduler, the ambient pool included.
+//
+// The fiber engine is the build's (exec/fiber.h): these properties run on
+// the fast switch in a plain x86-64 build and on ucontext under
+// scripts/check_sanitize.sh and scripts/check_tsan.sh.
 //
 // Each configuration draws one of three kernels: a barrier-free stream, a
 // block-wide reverse through shared memory, and that reverse over a prefix
@@ -48,7 +50,6 @@
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
-#include "exec/fiber.h"
 #include "exec/worker_pool.h"
 
 namespace g80 {
@@ -296,38 +297,30 @@ TEST(InvariantFuzz, UntriggeredResiliencePolicyIsNoOp) {
   }
 }
 
-TEST(InvariantFuzz, NoSampleLaunchInvisibleAcrossSchedulersAndFiberEngines) {
+TEST(InvariantFuzz, NoSampleLaunchInvisibleAcrossSchedulers) {
   std::mt19937 rng(fuzz_seed() + 4);
   WorkerPool pool2(2);
   WorkerPool pool4(4);
-  std::vector<Fiber::Backend> backends{Fiber::Backend::kUcontext};
-  if (Fiber::fast_backend_supported())
-    backends.push_back(Fiber::Backend::kFast);
   for (int it = 0; it < fuzz_iters(); ++it) {
     const auto c = random_config(rng);
     const auto input = random_input(rng, c.n());
 
-    // Traced sequential run on the default engine is the reference.
+    // Traced sequential run is the reference.
     const auto [ref_out, ref_stats] = run_config(c, input, base_options(c));
 
     std::vector<LaunchStats> untraced_stats;
-    for (Fiber::Backend backend : backends) {
-      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
-                               &pool4}) {
-        LaunchOptions untraced = base_options(c);
-        untraced.sample_blocks = 0;
-        untraced.fiber_backend = backend;
-        untraced.pool = pool;
-        const auto [out, stats] = run_config(c, input, untraced);
-        EXPECT_EQ(ref_out, out)
-            << c.str() << " pool=" << (pool ? pool->width() : 1)
-            << " backend=" << (backend == Fiber::Backend::kFast ? "fast"
-                                                                : "ucontext");
-        untraced_stats.push_back(stats);
-      }
+    for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
+                             &pool4}) {
+      LaunchOptions untraced = base_options(c);
+      untraced.sample_blocks = 0;
+      untraced.pool = pool;
+      const auto [out, stats] = run_config(c, input, untraced);
+      EXPECT_EQ(ref_out, out)
+          << c.str() << " pool=" << (pool ? pool->width() : 1);
+      untraced_stats.push_back(stats);
     }
-    // Every sample-free run reports the same stats, whichever scheduler and
-    // fiber engine produced it: no trace, no modeled timing, but the same
+    // Every sample-free run reports the same stats, whichever scheduler
+    // produced it: no trace, no modeled timing, but the same
     // occupancy/footprint numbers the traced run derived.
     for (const auto& s : untraced_stats) {
       EXPECT_EQ(s.trace.num_blocks, 0) << c.str();
@@ -340,42 +333,34 @@ TEST(InvariantFuzz, NoSampleLaunchInvisibleAcrossSchedulersAndFiberEngines) {
   }
 }
 
-TEST(InvariantFuzz, TraceRecordingInvisibleAcrossSchedulersAndFiberEngines) {
+TEST(InvariantFuzz, TraceRecordingInvisibleAcrossSchedulers) {
   std::mt19937 rng(fuzz_seed() + 5);
   WorkerPool pool2(2);
   WorkerPool pool4(4);
-  std::vector<Fiber::Backend> backends{Fiber::Backend::kUcontext};
-  if (Fiber::fast_backend_supported())
-    backends.push_back(Fiber::Backend::kFast);
   for (int it = 0; it < fuzz_iters(); ++it) {
     const auto c = random_config(rng);
     const auto input = random_input(rng, c.n());
 
-    // Sequential run on the default engine is the reference.
+    // Sequential run is the reference.
     const auto [ref_out, ref_stats] = run_config(c, input, base_options(c));
 
-    for (Fiber::Backend backend : backends) {
-      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
-                               &pool4}) {
-        LaunchOptions opt = base_options(c);
-        opt.fiber_backend = backend;
-        opt.pool = pool;
-        const auto [out, stats] = run_config(c, input, opt);
-        const std::string label =
-            c.str() + " pool=" + std::to_string(pool ? pool->width() : 1) +
-            " backend=" +
-            (backend == Fiber::Backend::kFast ? "fast" : "ucontext");
-        EXPECT_EQ(ref_out, out) << label;
-        // The entire trace summary — every warp counter, DRAM byte, and
-        // per-site attribution row — must match the sequential run.
-        EXPECT_TRUE(ref_stats.trace == stats.trace) << label;
-        EXPECT_EQ(ref_stats.trace.regrouped_streams,
-                  stats.trace.regrouped_streams)
-            << label;
-        EXPECT_EQ(ref_stats.timing.seconds, stats.timing.seconds) << label;
-        EXPECT_EQ(ref_stats.timing.kernel_cycles, stats.timing.kernel_cycles)
-            << label;
-      }
+    for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
+                             &pool4}) {
+      LaunchOptions opt = base_options(c);
+      opt.pool = pool;
+      const auto [out, stats] = run_config(c, input, opt);
+      const std::string label =
+          c.str() + " pool=" + std::to_string(pool ? pool->width() : 1);
+      EXPECT_EQ(ref_out, out) << label;
+      // The entire trace summary — every warp counter, DRAM byte, and
+      // per-site attribution row — must match the sequential run.
+      EXPECT_TRUE(ref_stats.trace == stats.trace) << label;
+      EXPECT_EQ(ref_stats.trace.regrouped_streams,
+                stats.trace.regrouped_streams)
+          << label;
+      EXPECT_EQ(ref_stats.timing.seconds, stats.timing.seconds) << label;
+      EXPECT_EQ(ref_stats.timing.kernel_cycles, stats.timing.kernel_cycles)
+          << label;
     }
   }
 }
@@ -384,33 +369,22 @@ TEST(InvariantFuzz, EarlyExitKernelMatchesHostReference) {
   std::mt19937 rng(fuzz_seed() + 6);
   WorkerPool pool2(2);
   WorkerPool pool4(4);
-  std::vector<Fiber::Backend> backends{Fiber::Backend::kUcontext};
-  if (Fiber::fast_backend_supported())
-    backends.push_back(Fiber::Backend::kFast);
   for (int it = 0; it < fuzz_iters(); ++it) {
     auto c = random_config(rng);
     c.kernel = FuzzKernel::kEarlyExit;
     const auto input = random_input(rng, c.n());
     const auto expected = early_exit_reference(c, input);
 
-    for (Fiber::Backend backend : backends) {
-      const std::string engine =
-          backend == Fiber::Backend::kFast ? "fast" : "ucontext";
-      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
-                               &pool4}) {
-        LaunchOptions opt = base_options(c);
-        opt.fiber_backend = backend;
-        opt.pool = pool;
-        EXPECT_EQ(run_config(c, input, opt).first, expected)
-            << c.str() << " pool=" << (pool ? pool->width() : 1)
-            << " backend=" << engine;
-      }
+    for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
+                             &pool4}) {
       LaunchOptions opt = base_options(c);
-      opt.fiber_backend = backend;
-      ScopedLaunchPool ambient(&pool4);
+      opt.pool = pool;
       EXPECT_EQ(run_config(c, input, opt).first, expected)
-          << c.str() << " ambient pool backend=" << engine;
+          << c.str() << " pool=" << (pool ? pool->width() : 1);
     }
+    ScopedLaunchPool ambient(&pool4);
+    EXPECT_EQ(run_config(c, input, base_options(c)).first, expected)
+        << c.str() << " ambient pool";
   }
 }
 
