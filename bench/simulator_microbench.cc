@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <source_location>
+#include <vector>
 
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
@@ -59,32 +60,36 @@ void BM_BarrierFreeBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_BarrierFreeBlock)->Arg(128)->Arg(512);
 
+// One all-active 32-lane row, lane k at k * stride_bytes.
+std::vector<std::uint64_t> strided_addrs(std::uint64_t stride_bytes) {
+  std::vector<std::uint64_t> addrs(32);
+  for (int k = 0; k < 32; ++k) addrs[k] = stride_bytes * k;
+  return addrs;
+}
+
 void BM_CoalescingAnalyzer(benchmark::State& state) {
-  WarpAccess w(32);
-  for (int k = 0; k < 32; ++k)
-    w[k] = {static_cast<std::uint64_t>(4 * k), 4, 0, true};
+  const auto addrs = strided_addrs(4);
+  const SoaWarpAccess row{~0u, 4, addrs.data(), 32};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_warp(kSpec, w));
+    benchmark::DoNotOptimize(analyze_warp(kSpec, row));
   }
 }
 BENCHMARK(BM_CoalescingAnalyzer);
 
 void BM_CoalescingAnalyzerScattered(benchmark::State& state) {
-  WarpAccess w(32);
-  for (int k = 0; k < 32; ++k)
-    w[k] = {static_cast<std::uint64_t>(997 * k), 4, 0, true};
+  const auto addrs = strided_addrs(997);
+  const SoaWarpAccess row{~0u, 4, addrs.data(), 32};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_warp(kSpec, w));
+    benchmark::DoNotOptimize(analyze_warp(kSpec, row));
   }
 }
 BENCHMARK(BM_CoalescingAnalyzerScattered);
 
 void BM_BankConflictAnalyzer(benchmark::State& state) {
-  WarpAccess w(32);
-  for (int k = 0; k < 32; ++k)
-    w[k] = {static_cast<std::uint64_t>(64 * k), 4, 0, true};
+  const auto addrs = strided_addrs(64);
+  const SoaWarpAccess row{~0u, 4, addrs.data(), 32};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_shared_warp(kSpec, w));
+    benchmark::DoNotOptimize(analyze_shared_warp(kSpec, row));
   }
 }
 BENCHMARK(BM_BankConflictAnalyzer);

@@ -1,6 +1,7 @@
 #include "cudalite/trace_arena.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/error.h"
 
@@ -53,11 +54,39 @@ void WarpSpaceBatch::reconstruct_lane(int sub,
   for (std::uint32_t j = 0; j < prefix; ++j) {
     const std::uint64_t key = keys[j];
     out->push_back({addrs[j * static_cast<std::size_t>(stride) + sub],
-                    trace_key_size(key), trace_key_site(key), true,
+                    trace_key_size(key), trace_key_site(key),
                     trace_key_store(key)});
   }
   const auto& tail = overflow[static_cast<std::size_t>(sub)];
   out->insert(out->end(), tail.begin(), tail.end());
+}
+
+void WarpSpaceBatch::regroup(int lane_count, WarpSpaceBatch* out) const {
+  out->reset(stride);
+  // Per key: the rows of its occurrences so far, and how many of them the
+  // current lane has reached.
+  struct KeyRows {
+    std::vector<std::size_t> rows;
+    std::size_t next = 0;
+    int lane = -1;
+  };
+  std::unordered_map<std::uint64_t, KeyRows> by_key;
+  std::vector<MemAccess> seq;
+  for (int k = 0; k < lane_count; ++k) {
+    reconstruct_lane(k, &seq);
+    for (const MemAccess& a : seq) {
+      const std::uint64_t key = pack_trace_key(a.site, a.size, a.store);
+      KeyRows& g = by_key[key];
+      if (g.lane != k) {
+        g.lane = k;
+        g.next = 0;
+      }
+      if (g.next == g.rows.size()) g.rows.push_back(out->append_row(key));
+      const std::size_t row = g.rows[g.next++];
+      out->masks[row] |= 1u << k;
+      out->addrs[row * static_cast<std::size_t>(stride) + k] = a.addr;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,16 +20,17 @@
 //   - A lane whose j-th access does NOT match row j has diverged from the
 //     warp's common instruction stream.  It permanently falls back to a
 //     per-lane overflow vector and the stream is marked dirty; the collector
-//     then reconstructs the exact per-lane sequences (prefix rows + overflow)
-//     and regroups them by (site, occurrence), so divergent warps get exact
-//     statistics through the slow path.
+//     then regroups the exact per-lane sequences (prefix rows + overflow)
+//     into rows of the same form (WarpSpaceBatch::regroup), so divergent
+//     warps reach the same analyzers with exact statistics.
 //
-// Why positional matching is exact for clean streams: every lane's matched
-// rows form a prefix [0, cursor), so row j groups exactly the lanes whose
-// j-th access it is, the shared key prefix makes the key
-// (site, occurrence-at-site) of position j identical across lanes, and
-// first-appearance order equals row order.  tests/trace_oracle_test.cc
-// checks both halves against group_warp_instructions.
+// Instruction identity is (key, occurrence of that key in the lane).  Why
+// positional matching is exact for clean streams: every lane's matched rows
+// form a prefix [0, cursor), so row j groups exactly the lanes whose j-th
+// access it is, the shared key prefix makes (key, occurrence) of position j
+// identical across lanes, and first-appearance order equals row order.
+// tests/trace_oracle_test.cc checks clean rows and regrouped dirty streams
+// against a reference grouping.
 #pragma once
 
 #include <array>
@@ -38,7 +39,6 @@
 
 #include "hw/device_spec.h"
 #include "hw/isa.h"
-#include "mem/access.h"
 
 namespace g80 {
 
@@ -83,6 +83,15 @@ constexpr std::uint32_t trace_key_size(std::uint64_t key) {
   return static_cast<std::uint32_t>((key >> 32) & 0x7fffffffu);
 }
 constexpr bool trace_key_store(std::uint64_t key) { return (key >> 63) != 0; }
+
+// One recorded access of a lane that left its warp's positional stream (the
+// overflow record), and the unit of a reconstructed lane sequence.
+struct MemAccess {
+  std::uint64_t addr = 0;  // byte address in the access's address space
+  std::uint32_t size = 4;  // access width in bytes (a sizeof())
+  std::uint32_t site = 0;  // static call site of the ld/st (source hash)
+  bool store = false;      // direction, for the gld_*/gst_* counter split
+};
 
 // ---------------------------------------------------------------------------
 // Block-level open-addressing site intern table: O(1) "first use this
@@ -148,7 +157,7 @@ struct WarpSpaceBatch {
               std::uint64_t addr) {
     const std::uint32_t bit = 1u << sub;
     if (diverged & bit) {
-      overflow[sub].push_back({addr, size, site, true, store});
+      overflow[sub].push_back({addr, size, site, store});
       return;
     }
     const std::uint64_t key = pack_trace_key(site, size, store);
@@ -163,20 +172,36 @@ struct WarpSpaceBatch {
       // This lane left the warp's common stream: record it (and everything
       // it does from now on in this space) per-lane; the collector regroups.
       diverged |= bit;
-      overflow[sub].push_back({addr, size, site, true, store});
+      overflow[sub].push_back({addr, size, site, store});
       return;
     }
     // cur == rows(): this lane extends the stream with a new row.
-    keys.push_back(key);
-    masks.push_back(bit);
-    addrs.resize(addrs.size() + static_cast<std::size_t>(stride));
-    addrs[cur * static_cast<std::size_t>(stride) + sub] = addr;
+    const std::size_t row = append_row(key);
+    masks[row] = bit;
+    addrs[row * static_cast<std::size_t>(stride) + sub] = addr;
     ++cur;
   }
 
-  // Exact per-lane access sequence (for dirty-stream regrouping): the matched
-  // prefix rows, then the overflow tail.
+  // Appends an empty row (no lane active) for `key`; returns its index.
+  std::size_t append_row(std::uint64_t key) {
+    keys.push_back(key);
+    masks.push_back(0);
+    addrs.resize(addrs.size() + static_cast<std::size_t>(stride));
+    return keys.size() - 1;
+  }
+
+  // Exact per-lane access sequence: the matched prefix rows, then the
+  // overflow tail.
   void reconstruct_lane(int sub, std::vector<MemAccess>* out) const;
+
+  // Regroups lanes [0, lane_count)'s exact sequences into `out` (reset
+  // first): one row per (key, occurrence of that key in the lane), in
+  // first-appearance order over lanes in thread order.  On a clean stream
+  // this reproduces its own rows; the collector calls it on dirty streams,
+  // whose rows hold only the matched prefixes.  Lanes at one site with
+  // different widths or directions land in separate rows, as they do
+  // positionally.
+  void regroup(int lane_count, WarpSpaceBatch* out) const;
 };
 
 // ---------------------------------------------------------------------------

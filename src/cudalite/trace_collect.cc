@@ -15,7 +15,7 @@ namespace g80 {
 
 namespace {
 
-// Key of one warp-level dynamic instruction: the static call site plus the
+// Key of one warp-level dynamic branch: the static call site plus the
 // per-lane occurrence index at that site.
 struct InstKey {
   std::uint32_t site = 0;
@@ -28,23 +28,6 @@ struct InstKeyHash {
     return (static_cast<std::size_t>(k.site) << 20) ^ k.occurrence;
   }
 };
-
-// The call site of one reconstructed warp instruction: every grouped lane
-// access shares it, so the first active lane decides.
-std::uint32_t group_site(const WarpAccess& acc) {
-  for (const MemAccess& a : acc) {
-    if (a.active) return a.site;
-  }
-  return 0;
-}
-
-// Direction of one warp instruction (static property; any active lane).
-bool group_store(const WarpAccess& acc) {
-  for (const MemAccess& a : acc) {
-    if (a.active) return a.store;
-  }
-  return false;
-}
 
 // Per-site accumulator for the g80scope attribution (few distinct sites per
 // kernel; linear probing is cheaper than hashing here).
@@ -81,8 +64,7 @@ class SiteAccumulator {
 };
 
 // ---------------------------------------------------------------------------
-// Per-instruction accumulation, shared verbatim by the clean (SoA row) and
-// dirty (regrouped WarpAccess) paths so the two cannot drift apart.
+// Per-instruction accumulation into the warp and per-site statistics.
 // ---------------------------------------------------------------------------
 
 void accumulate_global(WarpTrace& wt, SiteAccumulator& sites,
@@ -149,52 +131,26 @@ void accumulate_texture(const DeviceSpec& spec, WarpTrace& wt,
   }
 }
 
-// One (warp, space) stream's warp-level instructions, in first-appearance
-// order.  A clean stream's rows ARE that sequence and feed the streaming
-// *_soa analyzers through `on_row(key, row)`; a dirty (positionally
-// diverged) stream is reconstructed per lane (matched prefix rows plus the
-// overflow tail), regrouped by (site, occurrence) and fed to the AoS
-// analyzers through `on_group(acc)`.  Returns whether it regrouped.
-// `scratch` is reused across streams.
-template <class OnRow, class OnGroup>
+// Feeds one (warp, space) stream's warp-level instructions, in
+// first-appearance order, to `on_row(key, row)`.  A clean stream's rows ARE
+// that sequence; a dirty (positionally diverged) stream is regrouped into
+// `scratch` first.  Returns whether it regrouped.
+template <class OnRow>
 bool for_each_instruction(const WarpSpaceBatch& s, int lane_count,
-                          std::vector<std::vector<MemAccess>>& scratch,
-                          OnRow&& on_row, OnGroup&& on_group) {
-  if (!s.dirty()) {
-    for (std::size_t j = 0; j < s.rows(); ++j)
-      on_row(s.keys[j], SoaWarpAccess{s.masks[j], trace_key_size(s.keys[j]),
-                                      s.row_addrs(j), s.stride});
-    return false;
+                          WarpSpaceBatch& scratch, OnRow&& on_row) {
+  const WarpSpaceBatch* rows = &s;
+  if (s.dirty()) {
+    s.regroup(lane_count, &scratch);
+    rows = &scratch;
   }
-  if (static_cast<int>(scratch.size()) < lane_count)
-    scratch.resize(static_cast<std::size_t>(lane_count));
-  for (int k = 0; k < lane_count; ++k)
-    s.reconstruct_lane(k, &scratch[static_cast<std::size_t>(k)]);
-  for (const WarpAccess& acc :
-       group_warp_instructions(scratch.data(), lane_count, s.stride))
-    on_group(acc);
-  return true;
+  for (std::size_t j = 0; j < rows->rows(); ++j)
+    on_row(rows->keys[j], SoaWarpAccess{rows->masks[j],
+                                        trace_key_size(rows->keys[j]),
+                                        rows->row_addrs(j), rows->stride});
+  return s.dirty();
 }
 
 }  // namespace
-
-std::vector<WarpAccess> group_warp_instructions(
-    const std::vector<MemAccess>* lanes, int lane_count, int warp_size) {
-  std::unordered_map<InstKey, std::size_t, InstKeyHash> index;
-  std::vector<WarpAccess> groups;
-  std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
-
-  for (int k = 0; k < lane_count; ++k) {
-    occurrence.clear();
-    for (const MemAccess& a : lanes[k]) {
-      const InstKey key{a.site, occurrence[a.site]++};
-      auto [it, inserted] = index.emplace(key, groups.size());
-      if (inserted) groups.emplace_back(warp_size);
-      groups[it->second][static_cast<std::size_t>(k)] = a;
-    }
-  }
-  return groups;
-}
 
 BlockTrace collect_block_trace(const DeviceSpec& spec,
                                const std::vector<LaneTrace>& lanes,
@@ -207,7 +163,7 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
   BlockTrace block;
   block.warps.resize(num_warps);
   SiteAccumulator sites(lanes);
-  std::vector<std::vector<MemAccess>> scratch;  // dirty-stream reconstruction
+  WarpSpaceBatch scratch;  // dirty-stream regrouping
 
   // One texture cache per block approximates the per-SM cache shared by the
   // blocks resident on an SM (they run the same kernel, so per-block
@@ -256,11 +212,7 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
         arena.stream(w, kSpaceGlobal), lane_count, scratch,
         [&](std::uint64_t key, const SoaWarpAccess& row) {
           accumulate_global(wt, sites, trace_key_site(key),
-                            trace_key_store(key), analyze_warp_soa(spec, row));
-        },
-        [&](const WarpAccess& acc) {
-          accumulate_global(wt, sites, group_site(acc), group_store(acc),
-                            analyze_warp(spec, acc));
+                            trace_key_store(key), analyze_warp(spec, row));
         });
 
     // --- Shared memory: bank conflicts ---
@@ -268,11 +220,7 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
         arena.stream(w, kSpaceShared), lane_count, scratch,
         [&](std::uint64_t key, const SoaWarpAccess& row) {
           accumulate_shared(wt, sites, trace_key_site(key),
-                            analyze_shared_warp_soa(spec, row));
-        },
-        [&](const WarpAccess& acc) {
-          accumulate_shared(wt, sites, group_site(acc),
-                            analyze_shared_warp(spec, acc));
+                            analyze_shared_warp(spec, row));
         });
 
     // --- Constant memory: broadcast vs serialization ---
@@ -280,29 +228,16 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
         arena.stream(w, kSpaceConst), lane_count, scratch,
         [&](std::uint64_t key, const SoaWarpAccess& row) {
           accumulate_const(wt, sites, trace_key_site(key),
-                           analyze_const_warp_soa(spec, row));
-        },
-        [&](const WarpAccess& acc) {
-          accumulate_const(wt, sites, group_site(acc),
-                           analyze_const_warp(spec, acc));
+                           analyze_const_warp(spec, row));
         });
 
     // --- Texture: run the cache in warp-instruction order ---
     regrouped += for_each_instruction(
         arena.stream(w, kSpaceTexture), lane_count, scratch,
         [&](std::uint64_t key, const SoaWarpAccess& row) {
-          const auto res = tex_cache.access_warp_soa(row);
+          const auto res = tex_cache.access_warp(row);
           accumulate_texture(spec, wt, sites, trace_key_site(key), res.hits,
                              res.misses);
-        },
-        [&](const WarpAccess& acc) {
-          std::uint64_t hits = 0, misses = 0;
-          for (const MemAccess& a : acc) {
-            if (!a.active) continue;
-            if (tex_cache.access(a.addr)) ++hits;
-            else ++misses;
-          }
-          accumulate_texture(spec, wt, sites, group_site(acc), hits, misses);
         });
     block.regrouped_streams += static_cast<std::uint64_t>(regrouped);
 

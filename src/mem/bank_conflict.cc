@@ -1,132 +1,75 @@
 #include "mem/bank_conflict.h"
 
 #include <algorithm>
-#include <set>
-#include <vector>
 
 namespace g80 {
 
-BankConflictResult analyze_shared_half_warp(const DeviceSpec& spec,
-                                            const MemAccess* lanes,
-                                            int lane_count) {
-  const int hw = spec.warp_size / 2;
-  lane_count = std::min(lane_count, hw);
-  const int banks = spec.shared_mem_banks;
-
-  // Distinct words touched per bank.
-  std::vector<std::set<std::uint64_t>> words(static_cast<std::size_t>(banks));
-  std::set<std::uint64_t> all_words;
-  int active = 0;
-  for (int k = 0; k < lane_count; ++k) {
-    if (!lanes[k].active) continue;
-    ++active;
-    // Multi-word accesses (e.g. float2/float4) touch consecutive banks.
-    for (std::uint32_t off = 0; off < lanes[k].size; off += 4) {
-      const std::uint64_t word = (lanes[k].addr + off) / 4;
-      words[word % banks].insert(word);
-      all_words.insert(word);
-    }
-  }
-
-  BankConflictResult r;
-  if (active == 0) return r;
-  if (all_words.size() == 1) {
-    r.broadcast = true;
-    r.serialization = 1;
-    return r;
-  }
-  int worst = 1;
-  for (const auto& w : words)
-    worst = std::max(worst, static_cast<int>(w.size()));
-  r.serialization = worst;
-  return r;
-}
-
-WarpBankCost analyze_shared_warp(const DeviceSpec& spec, const WarpAccess& warp) {
-  const int hw = spec.warp_size / 2;
-  WarpBankCost cost;
-  for (std::size_t lo = 0; lo < warp.size(); lo += hw) {
-    const int n = static_cast<int>(std::min<std::size_t>(hw, warp.size() - lo));
-    bool any_active = false;
-    for (int k = 0; k < n; ++k) any_active |= warp[lo + k].active;
-    if (!any_active) continue;
-    const auto half = analyze_shared_half_warp(spec, warp.data() + lo, n);
-    cost.passes += half.serialization;
-    cost.extra_passes += half.serialization - 1;
-  }
-  return cost;
-}
-
 namespace {
 
-// Serialization degree of one SoA half-warp: distinct words via a small
-// insert-unique array (<= 16 lanes x size/4 words in practice), then the
-// worst per-bank degree from a counter table — each distinct word lands in
-// exactly one bank, so counting distinct words per bank equals the legacy
-// per-bank set sizes.
-int half_warp_serialization_soa(const DeviceSpec& spec,
-                                const SoaWarpAccess& row, int lo, int n) {
+// Serialization degree of one half-warp, lanes [lo, lo+n) of the row (0:
+// no active lane).  Lane k touches the words [a/4, a/4 + ceil(size/4) - 1];
+// the distinct words per bank are counted exactly from the union of those
+// runs.
+int half_warp_serialization(const DeviceSpec& spec, const SoaWarpAccess& row,
+                            int lo, int n) {
   const std::uint32_t half_mask =
       (n >= 32 ? ~0u : ((1u << n) - 1u)) & (row.mask >> lo);
   if (half_mask == 0) return 0;  // nothing issued
-  const int banks = spec.shared_mem_banks;
+  const std::uint64_t banks = static_cast<std::uint64_t>(spec.shared_mem_banks);
+  const std::uint64_t words_per_lane = (row.size + 3) / 4;
   const std::uint64_t* addr = row.addrs + lo;
 
-  std::uint64_t words[128];
-  int nwords = 0;
-  bool overflow = banks > 64;  // counter table bound; G80 has 16 banks
-  for (int k = 0; k < n && !overflow; ++k) {
+  Span words[32];  // one per lane; a row has at most 32
+  int nspans = 0;
+  for (int k = 0; k < n; ++k) {
     if ((half_mask >> k & 1u) == 0) continue;
-    for (std::uint32_t off = 0; off < row.size; off += 4) {
-      const std::uint64_t word = (addr[k] + off) / 4;
-      int i = 0;
-      while (i < nwords && words[i] != word) ++i;
-      if (i == nwords) {
-        if (nwords == 128) {
-          overflow = true;
-          break;
-        }
-        words[nwords++] = word;
-      }
-    }
+    const std::uint64_t first = addr[k] / 4;
+    push_span(words, nspans, {first, first + words_per_lane - 1});
   }
-  if (overflow) {
-    // Unusually wide accesses: exact fallback through the legacy sets.
-    std::vector<std::set<std::uint64_t>> per_bank(
-        static_cast<std::size_t>(banks));
-    std::set<std::uint64_t> all;
-    for (int k = 0; k < n; ++k) {
-      if ((half_mask >> k & 1u) == 0) continue;
-      for (std::uint32_t off = 0; off < row.size; off += 4) {
-        const std::uint64_t word = (addr[k] + off) / 4;
-        per_bank[word % banks].insert(word);
-        all.insert(word);
-      }
-    }
-    if (all.size() == 1) return 1;
-    int worst = 1;
-    for (const auto& w : per_bank)
-      worst = std::max(worst, static_cast<int>(w.size()));
-    return worst;
-  }
+  nspans = merge_spans(words, nspans);
+  if (nspans == 1 && words[0].lo == words[0].hi) return 1;  // broadcast
 
-  if (nwords == 1) return 1;  // broadcast
-  int counts[64] = {};
-  for (int i = 0; i < nwords; ++i) ++counts[words[i] % banks];
-  int worst = 1;
-  for (int b = 0; b < banks; ++b) worst = std::max(worst, counts[b]);
-  return worst;
+  // A disjoint run of L words gives every bank L / banks of them, and one
+  // more to each of the L % banks consecutive banks from (first word) %
+  // banks: an arc on the ring of banks.  The worst bank is the common share
+  // plus the most arcs covering one bank, and the deepest point of a set of
+  // arcs is always one of their starts.
+  std::uint64_t common = 0;
+  std::uint32_t arc_start[32];  // < banks
+  std::uint32_t arc_len[32];    // < banks
+  for (int i = 0; i < nspans; ++i) {
+    std::uint64_t len = words[i].hi - words[i].lo + 1;
+    if (len >= banks) {
+      common += len / banks;
+      len %= banks;
+    }
+    arc_start[i] = static_cast<std::uint32_t>(words[i].lo % banks);
+    arc_len[i] = static_cast<std::uint32_t>(len);
+  }
+  const std::uint32_t ring = static_cast<std::uint32_t>(banks);
+  std::uint64_t deepest = 0;
+  for (int i = 0; i < nspans; ++i) {
+    if (arc_len[i] == 0) continue;
+    std::uint32_t depth = 0;
+    for (int j = 0; j < nspans; ++j) {
+      const std::uint32_t offset = arc_start[i] - arc_start[j] +
+                                   (arc_start[i] < arc_start[j] ? ring : 0);
+      depth += offset < arc_len[j];
+    }
+    deepest = std::max<std::uint64_t>(deepest, depth);
+  }
+  return static_cast<int>(std::max<std::uint64_t>(1, common + deepest));
 }
 
 }  // namespace
 
-WarpBankCost analyze_shared_warp_soa(const DeviceSpec& spec,
-                                     const SoaWarpAccess& row) {
+WarpBankCost analyze_shared_warp(const DeviceSpec& spec,
+                                 const SoaWarpAccess& row) {
   const int hw = spec.warp_size / 2;
   WarpBankCost cost;
   for (int lo = 0; lo < row.lanes; lo += hw) {
     const int n = std::min(hw, row.lanes - lo);
-    const int ser = half_warp_serialization_soa(spec, row, lo, n);
+    const int ser = half_warp_serialization(spec, row, lo, n);
     if (ser == 0) continue;  // no active lane in this half
     cost.passes += ser;
     cost.extra_passes += ser - 1;

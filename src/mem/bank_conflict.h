@@ -5,7 +5,9 @@
 // lanes touch *different words* in the same bank, in which case the access
 // serializes by the maximum per-bank degree.  All lanes reading the same
 // word broadcast with no conflict (paper §5.2: "Care must be taken so that
-// threads in the same warp access different banks").
+// threads in the same warp access different banks").  A multi-word access
+// (float2/float4, or wider) touches consecutive words, hence consecutive
+// banks.
 #pragma once
 
 #include "hw/device_spec.h"
@@ -13,30 +15,15 @@
 
 namespace g80 {
 
-struct BankConflictResult {
-  // Number of serialized passes for the half-warp (1 == conflict-free).
-  int serialization = 1;
-  bool broadcast = false;  // all active lanes hit one word
-};
-
-BankConflictResult analyze_shared_half_warp(const DeviceSpec& spec,
-                                            const MemAccess* lanes,
-                                            int lane_count);
-
-// Full warp = two half-warps; returns the summed extra passes
-// (total passes - number of half-warps that issued).
+// Full warp = two half-warps.
 struct WarpBankCost {
   int passes = 0;        // total serialized passes across both half-warps
   int extra_passes = 0;  // passes beyond the conflict-free minimum
 };
 
-WarpBankCost analyze_shared_warp(const DeviceSpec& spec, const WarpAccess& warp);
-
-// Batch entry point over one SoA trace-arena row: identical passes /
-// extra_passes to analyze_shared_warp on the expanded warp, computed with a
-// small insert-unique word array and a per-bank counter table instead of
-// per-bank std::sets.
-WarpBankCost analyze_shared_warp_soa(const DeviceSpec& spec,
-                                     const SoaWarpAccess& row);
+// Cost of one warp-level shared-memory instruction (one SoA trace-arena
+// row); a half-warp with no active lane issues nothing.
+WarpBankCost analyze_shared_warp(const DeviceSpec& spec,
+                                 const SoaWarpAccess& row);
 
 }  // namespace g80

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
-
-#include "common/error.h"
 
 namespace g80 {
 
@@ -23,114 +20,12 @@ double CoalesceResult::overfetch() const {
                                  static_cast<double>(useful_bytes);
 }
 
-CoalesceResult analyze_half_warp(const DeviceSpec& spec, const MemAccess* lanes,
-                                 int lane_count) {
-  const int hw = spec.warp_size / 2;
-  lane_count = std::min(lane_count, hw);
-
-  CoalesceResult r;
-  r.coalesced = true;
-
-  // Gather active lanes and the access width (G80 requires a uniform width
-  // within the half-warp; mixed widths serialize).
-  int active = 0;
-  std::uint32_t size = 0;
-  bool uniform_size = true;
-  for (int k = 0; k < lane_count; ++k) {
-    if (!lanes[k].active) continue;
-    ++active;
-    if (size == 0) size = lanes[k].size;
-    else if (lanes[k].size != size) uniform_size = false;
-  }
-  if (active == 0) return {};  // fully predicated-off: no traffic
-
-  // Check the strict compute-1.0 pattern: lane k at base + k*size, base
-  // aligned to the 16-word segment.
-  bool pattern_ok = uniform_size && (size == 4 || size == 8 || size == 16);
-  std::uint64_t base = 0;
-  bool have_base = false;
-  if (pattern_ok) {
-    for (int k = 0; k < lane_count && pattern_ok; ++k) {
-      if (!lanes[k].active) continue;
-      const std::uint64_t lane_base =
-          lanes[k].addr - static_cast<std::uint64_t>(k) * size;
-      if (!have_base) {
-        base = lane_base;
-        have_base = true;
-      } else if (lane_base != base) {
-        pattern_ok = false;
-      }
-    }
-    const std::uint64_t seg = static_cast<std::uint64_t>(hw) * size;
-    if (pattern_ok && (base % seg) != 0) pattern_ok = false;
-  }
-
-  const std::uint64_t min_txn = spec.dram_transaction_bytes;
-  if (pattern_ok) {
-    r.transactions = 1;
-    const std::uint64_t seg = static_cast<std::uint64_t>(hw) * size;
-    r.dram_bytes = std::max<std::uint64_t>(seg, min_txn);
-    r.useful_bytes = static_cast<std::uint64_t>(active) * size;
-    r.coalesced = true;
-    return r;
-  }
-
-  // Serialized.  Two separate costs:
-  //  - COMMAND cost: one transaction per *active lane*.  Compute-1.0
-  //    hardware issues every non-coalesced lane separately — neither
-  //    adjacent-but-misaligned lanes (segment merging arrived later) nor
-  //    same-address lanes combine (footnote 4 hedges with "may be able to";
-  //    the measured behaviour, and the reason the suite moves broadcast
-  //    reads into constant memory, is that they do not).  The timing model
-  //    charges both the SM's memory port and the device-wide DRAM command
-  //    rate per transaction.
-  //  - BYTE cost: unique minimum-size DRAM segments touched (back-to-back
-  //    requests into one open row are row-buffer hits, so the pins only pay
-  //    per segment).  Charged at the scattered-efficiency bandwidth.
-  r.coalesced = false;
-  std::set<std::uint64_t> segments;
-  for (int k = 0; k < lane_count; ++k) {
-    if (!lanes[k].active) continue;
-    ++r.transactions;
-    for (std::uint64_t b = lanes[k].addr / min_txn;
-         b <= (lanes[k].addr + lanes[k].size - 1) / min_txn; ++b)
-      segments.insert(b);
-    r.useful_bytes += lanes[k].size;
-  }
-  r.dram_bytes = static_cast<std::uint64_t>(segments.size()) * min_txn;
-  r.scattered_bytes = r.dram_bytes;
-  return r;
-}
-
-CoalesceResult analyze_warp(const DeviceSpec& spec, const WarpAccess& warp) {
-  const int hw = spec.warp_size / 2;
-  CoalesceResult total;
-  total.coalesced = true;
-  int issued = 0;
-  for (std::size_t lo = 0; lo < warp.size(); lo += hw) {
-    const int n = static_cast<int>(std::min<std::size_t>(hw, warp.size() - lo));
-    CoalesceResult half = analyze_half_warp(spec, warp.data() + lo, n);
-    if (half.transactions == 0) continue;
-    total.transactions += half.transactions;
-    total.dram_bytes += half.dram_bytes;
-    total.scattered_bytes += half.scattered_bytes;
-    total.useful_bytes += half.useful_bytes;
-    total.coalesced = total.coalesced && half.coalesced;
-    ++issued;
-  }
-  if (issued == 0) total.coalesced = false;
-  return total;
-}
-
 namespace {
 
-// SoA half-warp: lanes [lo, lo+n) of the batch row.  Same rule, same
-// numbers as analyze_half_warp on the expanded AoS lanes — the uniform-size
-// check is free (the batch key fixes the width) and the serialized path's
-// unique-segment count uses a small insert-unique array instead of a
-// std::set (identical distinct count, no allocation).
-CoalesceResult analyze_half_warp_soa(const DeviceSpec& spec,
-                                     const SoaWarpAccess& row, int lo, int n) {
+// One half-warp: lanes [lo, lo+n) of the row.  The row key fixes one width
+// for every lane, so the rule's uniform-width condition always holds here.
+CoalesceResult half_warp_result(const DeviceSpec& spec,
+                                const SoaWarpAccess& row, int lo, int n) {
   CoalesceResult r;
   const std::uint32_t half_mask =
       (n >= 32 ? ~0u : ((1u << n) - 1u)) & (row.mask >> lo);
@@ -172,61 +67,52 @@ CoalesceResult analyze_half_warp_soa(const DeviceSpec& spec,
     return r;
   }
 
+  // Serialized.  Two separate costs:
+  //  - COMMAND cost: one transaction per *active lane*.  Compute-1.0
+  //    hardware issues every non-coalesced lane separately — neither
+  //    adjacent-but-misaligned lanes (segment merging arrived later) nor
+  //    same-address lanes combine (footnote 4 hedges with "may be able to";
+  //    the measured behaviour, and the reason the suite moves broadcast
+  //    reads into constant memory, is that they do not).  The timing model
+  //    charges both the SM's memory port and the device-wide DRAM command
+  //    rate per transaction.
+  //  - BYTE cost: unique minimum-size DRAM segments touched (back-to-back
+  //    requests into one open row are row-buffer hits, so the pins only pay
+  //    per segment).  Charged at the scattered-efficiency bandwidth.
   r.coalesced = false;
   r.transactions = active;
   r.useful_bytes = static_cast<std::uint64_t>(active) * size;
-  std::uint64_t segs[64];
-  int nsegs = 0;
-  bool overflow = false;
-  for (int k = 0; k < n && !overflow; ++k) {
+  Span segs[32];  // one per lane; a row has at most 32
+  int nspans = 0;
+  for (int k = 0; k < n; ++k) {
     if ((half_mask >> k & 1u) == 0) continue;
-    for (std::uint64_t b = addr[k] / min_txn;
-         b <= (addr[k] + size - 1) / min_txn; ++b) {
-      int i = 0;
-      while (i < nsegs && segs[i] != b) ++i;
-      if (i == nsegs) {
-        if (nsegs == 64) {
-          overflow = true;
-          break;
-        }
-        segs[nsegs++] = b;
-      }
-    }
+    // Segment of the first byte, and how far the last byte lies past that
+    // segment's start (one division when the access stays in one segment).
+    const std::uint64_t first = addr[k] / min_txn;
+    const std::uint64_t reach = addr[k] % min_txn + size - 1;
+    push_span(segs, nspans,
+              {first, first + (reach < min_txn ? 0 : reach / min_txn)});
   }
-  if (overflow) {
-    // Giant access widths (> a cache line per lane): fall back to the exact
-    // set-based count rather than growing the scratch array.
-    std::set<std::uint64_t> segments;
-    for (int k = 0; k < n; ++k) {
-      if ((half_mask >> k & 1u) == 0) continue;
-      for (std::uint64_t b = addr[k] / min_txn;
-           b <= (addr[k] + size - 1) / min_txn; ++b)
-        segments.insert(b);
-    }
-    nsegs = static_cast<int>(segments.size());
-  }
-  r.dram_bytes = static_cast<std::uint64_t>(nsegs) * min_txn;
+  nspans = merge_spans(segs, nspans);
+  std::uint64_t nsegs = 0;
+  for (int i = 0; i < nspans; ++i) nsegs += segs[i].hi - segs[i].lo + 1;
+  r.dram_bytes = nsegs * min_txn;
   r.scattered_bytes = r.dram_bytes;
   return r;
 }
 
 }  // namespace
 
-CoalesceResult analyze_warp_soa(const DeviceSpec& spec,
-                                const SoaWarpAccess& row) {
+CoalesceResult analyze_warp(const DeviceSpec& spec, const SoaWarpAccess& row) {
   const int hw = spec.warp_size / 2;
   CoalesceResult total;
   total.coalesced = true;
   int issued = 0;
   for (int lo = 0; lo < row.lanes; lo += hw) {
     const int n = std::min(hw, row.lanes - lo);
-    CoalesceResult half = analyze_half_warp_soa(spec, row, lo, n);
+    CoalesceResult half = half_warp_result(spec, row, lo, n);
     if (half.transactions == 0) continue;
-    total.transactions += half.transactions;
-    total.dram_bytes += half.dram_bytes;
-    total.scattered_bytes += half.scattered_bytes;
-    total.useful_bytes += half.useful_bytes;
-    total.coalesced = total.coalesced && half.coalesced;
+    total += half;
     ++issued;
   }
   if (issued == 0) total.coalesced = false;

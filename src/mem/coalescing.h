@@ -10,7 +10,11 @@
 //   transaction per active lane.
 //
 // Each transaction moves at least `dram_transaction_bytes` (32 B) from DRAM,
-// which is how an uncoalesced stream wastes most of the 86.4 GB/s.
+// which is how an uncoalesced stream wastes most of the 86.4 GB/s.  A
+// serialized half-warp's bytes are the distinct 32 B segments its lanes
+// touch, counted exactly at any access width.  One warp-level instruction
+// has one width: lanes at one site with different widths are separate
+// instructions (cudalite/trace_arena.h).
 #pragma once
 
 #include <cstdint>
@@ -33,19 +37,8 @@ struct CoalesceResult {
   double overfetch() const;
 };
 
-// Analyze one half-warp (up to 16 lanes).  `lanes` beyond the half-warp size
-// are ignored.
-CoalesceResult analyze_half_warp(const DeviceSpec& spec, const MemAccess* lanes,
-                                 int lane_count);
-
-// Analyze a full warp as two independent half-warps (G80 issues memory
-// per half-warp).
-CoalesceResult analyze_warp(const DeviceSpec& spec, const WarpAccess& warp);
-
-// Batch entry point: the same analysis over one SoA trace-arena row
-// (uniform size by construction, addresses in a contiguous column).
-// Produces exactly analyze_warp's numbers for the expanded warp.
-CoalesceResult analyze_warp_soa(const DeviceSpec& spec,
-                                const SoaWarpAccess& row);
+// Analyze one warp-level instruction (one SoA trace-arena row) as two
+// independent half-warps (G80 issues memory per half-warp).
+CoalesceResult analyze_warp(const DeviceSpec& spec, const SoaWarpAccess& row);
 
 }  // namespace g80

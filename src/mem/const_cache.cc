@@ -1,46 +1,11 @@
 #include "mem/const_cache.h"
 
 #include <algorithm>
-#include <set>
 
 namespace g80 {
 
-ConstAccessResult analyze_const_half_warp(const DeviceSpec& spec,
-                                          const MemAccess* lanes,
-                                          int lane_count) {
-  const int hw = spec.warp_size / 2;
-  lane_count = std::min(lane_count, hw);
-  std::set<std::uint64_t> addrs;
-  int active = 0;
-  for (int k = 0; k < lane_count; ++k) {
-    if (!lanes[k].active) continue;
-    ++active;
-    addrs.insert(lanes[k].addr);
-  }
-  ConstAccessResult r;
-  if (active == 0) return r;
-  r.serialization = static_cast<int>(addrs.size());
-  r.broadcast = addrs.size() == 1;
-  return r;
-}
-
-WarpConstCost analyze_const_warp(const DeviceSpec& spec, const WarpAccess& warp) {
-  const int hw = spec.warp_size / 2;
-  WarpConstCost cost;
-  for (std::size_t lo = 0; lo < warp.size(); lo += hw) {
-    const int n = static_cast<int>(std::min<std::size_t>(hw, warp.size() - lo));
-    bool any_active = false;
-    for (int k = 0; k < n; ++k) any_active |= warp[lo + k].active;
-    if (!any_active) continue;
-    const auto half = analyze_const_half_warp(spec, warp.data() + lo, n);
-    cost.passes += half.serialization;
-    cost.extra_passes += half.serialization - 1;
-  }
-  return cost;
-}
-
-WarpConstCost analyze_const_warp_soa(const DeviceSpec& spec,
-                                     const SoaWarpAccess& row) {
+WarpConstCost analyze_const_warp(const DeviceSpec& spec,
+                                 const SoaWarpAccess& row) {
   const int hw = spec.warp_size / 2;
   WarpConstCost cost;
   for (int lo = 0; lo < row.lanes; lo += hw) {
@@ -48,7 +13,7 @@ WarpConstCost analyze_const_warp_soa(const DeviceSpec& spec,
     const std::uint32_t half_mask =
         (n >= 32 ? ~0u : ((1u << n) - 1u)) & (row.mask >> lo);
     if (half_mask == 0) continue;
-    // Distinct addresses among <= 16 active lanes: insert-unique array.
+    // Distinct addresses among the half-warp's active lanes.
     std::uint64_t uniq[32];
     int nuniq = 0;
     for (int k = 0; k < n; ++k) {

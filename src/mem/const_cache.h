@@ -12,25 +12,14 @@
 
 namespace g80 {
 
-struct ConstAccessResult {
-  int serialization = 1;  // distinct-address passes for the half-warp
-  bool broadcast = false;
-};
-
-ConstAccessResult analyze_const_half_warp(const DeviceSpec& spec,
-                                          const MemAccess* lanes, int lane_count);
-
 struct WarpConstCost {
-  int passes = 0;
-  int extra_passes = 0;
+  int passes = 0;        // distinct-address passes summed over the half-warps
+  int extra_passes = 0;  // passes beyond one per issuing half-warp
 };
 
-WarpConstCost analyze_const_warp(const DeviceSpec& spec, const WarpAccess& warp);
-
-// Batch entry point over one SoA trace-arena row: identical cost to
-// analyze_const_warp on the expanded warp (distinct-address count via a
-// 16-slot insert-unique array, no allocation).
-WarpConstCost analyze_const_warp_soa(const DeviceSpec& spec,
-                                     const SoaWarpAccess& row);
+// Cost of one warp-level constant-memory instruction (one SoA trace-arena
+// row); a half-warp with no active lane issues nothing.
+WarpConstCost analyze_const_warp(const DeviceSpec& spec,
+                                 const SoaWarpAccess& row);
 
 }  // namespace g80

@@ -37,7 +37,7 @@ bool TextureCache::access(std::uint64_t addr) {
   return false;
 }
 
-TextureCache::WarpResult TextureCache::access_warp_soa(
+TextureCache::WarpResult TextureCache::access_warp(
     const SoaWarpAccess& row) {
   WarpResult r;
   for (int k = 0; k < row.lanes; ++k) {

@@ -22,14 +22,14 @@ class TextureCache {
   // Returns true on hit; on miss the line is filled (LRU eviction).
   bool access(std::uint64_t addr);
 
-  // Batch entry point: one warp-level texture instruction as an SoA
-  // trace-arena row.  Probes active lanes in lane order (cache state is
-  // order-sensitive), exactly as per-lane access() calls would.
+  // One warp-level texture instruction (one SoA trace-arena row).  Probes
+  // active lanes in lane order (cache state is order-sensitive), exactly as
+  // per-lane access() calls would.
   struct WarpResult {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
-  WarpResult access_warp_soa(const SoaWarpAccess& row);
+  WarpResult access_warp(const SoaWarpAccess& row);
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }

@@ -81,8 +81,8 @@ struct BlockTrace {
   std::vector<WarpTrace> warps;
   // Per-call-site attribution, ordered by (file, line, site).
   std::vector<SiteStats> sites;
-  // (warp, address space) streams whose lanes diverged positionally and went
-  // through per-lane (site, occurrence) regrouping (cudalite/trace_arena.h).
+  // (warp, address space) streams whose lanes diverged positionally and were
+  // regrouped into rows by (key, occurrence) (cudalite/trace_arena.h).
   std::uint64_t regrouped_streams = 0;
 
   WarpTrace aggregate() const;

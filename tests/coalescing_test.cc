@@ -7,23 +7,30 @@
 #include "common/rng.h"
 #include "hw/device_spec.h"
 #include "mem/coalescing.h"
+#include "mem_reference.h"
 
 namespace g80 {
 namespace {
 
+using ref::Row;
+
 const DeviceSpec kSpec = DeviceSpec::geforce_8800_gtx();
 
-WarpAccess half_warp(std::uint64_t base, std::int64_t stride_bytes,
-                     std::uint32_t size = 4, int lanes = 16) {
-  WarpAccess w(lanes);
-  for (int k = 0; k < lanes; ++k) {
-    w[k] = {base + static_cast<std::uint64_t>(k * stride_bytes), size, 0, true};
-  }
-  return w;
+// `lanes` active lanes, lane k at base + k*stride_bytes.
+Row strided(std::uint64_t base, std::int64_t stride_bytes,
+            std::uint32_t size = 4, int lanes = 16) {
+  Row r;
+  r.mask = lanes == 32 ? ~0u : (1u << lanes) - 1u;
+  r.size = size;
+  for (int k = 0; k < lanes; ++k)
+    r.addrs.push_back(base + static_cast<std::uint64_t>(k * stride_bytes));
+  return r;
 }
 
+CoalesceResult analyze(const Row& r) { return analyze_warp(kSpec, r.view()); }
+
 TEST(Coalescing, PerfectSequentialAlignedCoalesces) {
-  const auto r = analyze_half_warp(kSpec, half_warp(0, 4).data(), 16);
+  const auto r = analyze(strided(0, 4));
   EXPECT_TRUE(r.coalesced);
   EXPECT_EQ(r.transactions, 1);
   EXPECT_EQ(r.dram_bytes, 64u);
@@ -35,7 +42,7 @@ TEST(Coalescing, MisalignedByOneWordSerializes) {
   // The strict rule: base must sit on a 16-word boundary (§3.2).  The
   // command cost is one transaction per distinct address; the pins only pay
   // for the unique 32 B segments (row-buffer hits absorb the rest).
-  const auto r = analyze_half_warp(kSpec, half_warp(4, 4).data(), 16);
+  const auto r = analyze(strided(4, 4));
   EXPECT_FALSE(r.coalesced);
   EXPECT_EQ(r.transactions, 16);        // one per active lane
   EXPECT_EQ(r.dram_bytes, 3u * 32u);    // bytes 4..67 span three segments
@@ -44,9 +51,9 @@ TEST(Coalescing, MisalignedByOneWordSerializes) {
 
 TEST(Coalescing, PermutedLanesSerialize) {
   // Lane k must access word k; even a swap of two lanes breaks it on G80.
-  auto w = half_warp(0, 4);
-  std::swap(w[3].addr, w[4].addr);
-  const auto r = analyze_half_warp(kSpec, w.data(), 16);
+  auto w = strided(0, 4);
+  std::swap(w.addrs[3], w.addrs[4]);
+  const auto r = analyze(w);
   EXPECT_FALSE(r.coalesced);
   EXPECT_EQ(r.transactions, 16);
   EXPECT_EQ(r.dram_bytes, 2u * 32u);  // same two segments as the clean pattern
@@ -55,7 +62,7 @@ TEST(Coalescing, PermutedLanesSerialize) {
 TEST(Coalescing, StridedAccessSerializes) {
   // Stride-2 floats: 16 distinct addresses -> 16 transactions over four
   // 32 B segments.
-  const auto r = analyze_half_warp(kSpec, half_warp(0, 8).data(), 16);
+  const auto r = analyze(strided(0, 8));
   EXPECT_FALSE(r.coalesced);
   EXPECT_EQ(r.transactions, 16);
   EXPECT_EQ(r.dram_bytes, 4u * 32u);
@@ -66,7 +73,7 @@ TEST(Coalescing, BroadcastDoesNotCombine) {
   // request per lane (footnote 4's combining did not materialize — the
   // reason broadcast data belongs in constant memory), but the pins only
   // move the one 32 B segment (row-buffer hits).
-  const auto r = analyze_half_warp(kSpec, half_warp(128, 0).data(), 16);
+  const auto r = analyze(strided(128, 0));
   EXPECT_FALSE(r.coalesced);  // not the sequential pattern
   EXPECT_EQ(r.transactions, 16);
   EXPECT_EQ(r.dram_bytes, 32u);
@@ -74,47 +81,39 @@ TEST(Coalescing, BroadcastDoesNotCombine) {
 }
 
 TEST(Coalescing, InactiveLanesLeaveHoles) {
-  auto w = half_warp(0, 4);
-  w[2].active = false;
-  w[9].active = false;
-  const auto r = analyze_half_warp(kSpec, w.data(), 16);
+  auto w = strided(0, 4);
+  w.mask &= ~((1u << 2) | (1u << 9));
+  const auto r = analyze(w);
   EXPECT_TRUE(r.coalesced);  // holes do not break coalescing
   EXPECT_EQ(r.transactions, 1);
   EXPECT_EQ(r.useful_bytes, 14u * 4u);
 }
 
 TEST(Coalescing, FullyPredicatedOffIsFree) {
-  auto w = half_warp(0, 4);
-  for (auto& a : w) a.active = false;
-  const auto r = analyze_half_warp(kSpec, w.data(), 16);
+  auto w = strided(0, 4);
+  w.mask = 0;
+  const auto r = analyze(w);
   EXPECT_EQ(r.transactions, 0);
   EXPECT_EQ(r.dram_bytes, 0u);
 }
 
 TEST(Coalescing, EightByteAccessesCoalesceAtDoubleSegment) {
   // float2 accesses: lane k at base + 8k, base aligned to 128 B.
-  const auto r = analyze_half_warp(kSpec, half_warp(256, 8, 8).data(), 16);
+  const auto r = analyze(strided(256, 8, 8));
   EXPECT_TRUE(r.coalesced);
   EXPECT_EQ(r.transactions, 1);
   EXPECT_EQ(r.dram_bytes, 128u);
 }
 
 TEST(Coalescing, SixteenByteAccessesCoalesce) {
-  const auto r = analyze_half_warp(kSpec, half_warp(512, 16, 16).data(), 16);
+  const auto r = analyze(strided(512, 16, 16));
   EXPECT_TRUE(r.coalesced);
   EXPECT_EQ(r.dram_bytes, 256u);
 }
 
-TEST(Coalescing, MixedSizesSerialize) {
-  auto w = half_warp(0, 4);
-  w[5].size = 8;
-  const auto r = analyze_half_warp(kSpec, w.data(), 16);
-  EXPECT_FALSE(r.coalesced);
-}
-
 TEST(Coalescing, UnsupportedWidthSerializes) {
   // 1-byte accesses can never use the 16-word-line path on compute 1.0.
-  const auto r = analyze_half_warp(kSpec, half_warp(0, 1, 1).data(), 16);
+  const auto r = analyze(strided(0, 1, 1));
   EXPECT_FALSE(r.coalesced);
   EXPECT_EQ(r.transactions, 16);
   EXPECT_EQ(r.dram_bytes, 32u);  // 16 consecutive bytes: one segment
@@ -122,19 +121,16 @@ TEST(Coalescing, UnsupportedWidthSerializes) {
 
 TEST(Coalescing, WarpIsTwoIndependentHalfWarps) {
   // First half coalesces, second half is scattered.
-  WarpAccess w(32);
-  for (int k = 0; k < 16; ++k) w[k] = {static_cast<std::uint64_t>(4 * k), 4, 0, true};
+  auto w = strided(0, 4, 4, 32);
   for (int k = 16; k < 32; ++k)
-    w[k] = {static_cast<std::uint64_t>(1000 + 64 * k), 4, 0, true};
-  const auto r = analyze_warp(kSpec, w);
+    w.addrs[k] = static_cast<std::uint64_t>(1000 + 64 * k);
+  const auto r = analyze(w);
   EXPECT_FALSE(r.coalesced);
   EXPECT_EQ(r.transactions, 1 + 16);
 }
 
 TEST(Coalescing, BothHalvesCoalescedWarp) {
-  WarpAccess w(32);
-  for (int k = 0; k < 32; ++k) w[k] = {static_cast<std::uint64_t>(4 * k), 4, 0, true};
-  const auto r = analyze_warp(kSpec, w);
+  const auto r = analyze(strided(0, 4, 4, 32));
   EXPECT_TRUE(r.coalesced);
   EXPECT_EQ(r.transactions, 2);
   EXPECT_EQ(r.dram_bytes, 128u);
@@ -145,19 +141,19 @@ TEST(Coalescing, BothHalvesCoalescedWarp) {
 // Oracle: coalesced iff every active lane k reads exactly [base+4k, base+4k+4)
 // for a 64-byte-aligned base; otherwise one transaction per active lane and
 // bytes == unique 32 B segments.
-CoalesceResult oracle(const WarpAccess& w) {
+CoalesceResult oracle(const Row& w) {
   CoalesceResult r;
   std::set<std::uint64_t> segs;
   std::uint64_t base = ~0ull;
   bool pattern = true;
   int active = 0;
   for (int k = 0; k < 16; ++k) {
-    if (!w[k].active) continue;
+    if (!(w.mask >> k & 1u)) continue;
     ++active;
-    segs.insert(w[k].addr / 32);
-    r.useful_bytes += w[k].size;
-    if (w[k].size != 4) pattern = false;
-    const std::uint64_t b = w[k].addr - 4ull * k;
+    segs.insert(w.addrs[k] / 32);
+    r.useful_bytes += w.size;
+    if (w.size != 4) pattern = false;
+    const std::uint64_t b = w.addrs[k] - 4ull * k;
     if (base == ~0ull) base = b;
     if (b != base || base % 64 != 0) pattern = false;
   }
@@ -178,20 +174,20 @@ class CoalescingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CoalescingProperty, MatchesOracleOnRandomPatterns) {
   SplitMix64 rng(GetParam());
   for (int trial = 0; trial < 500; ++trial) {
-    WarpAccess w(16);
+    Row w;
+    w.addrs.resize(16);
     const std::uint64_t base = 64 * rng.next_below(100);
     const int mode = static_cast<int>(rng.next_below(4));
     for (int k = 0; k < 16; ++k) {
-      w[k].size = 4;
-      w[k].active = rng.next_below(8) != 0;
+      if (rng.next_below(8) != 0) w.mask |= 1u << k;
       switch (mode) {
-        case 0: w[k].addr = base + 4ull * k; break;                    // perfect
-        case 1: w[k].addr = base + 4ull * k + 4; break;                // shifted
-        case 2: w[k].addr = base + 4ull * rng.next_below(64); break;   // random
-        case 3: w[k].addr = base; break;                               // broadcast
+        case 0: w.addrs[k] = base + 4ull * k; break;                    // perfect
+        case 1: w.addrs[k] = base + 4ull * k + 4; break;                // shifted
+        case 2: w.addrs[k] = base + 4ull * rng.next_below(64); break;   // random
+        case 3: w.addrs[k] = base; break;                               // broadcast
       }
     }
-    const auto got = analyze_half_warp(kSpec, w.data(), 16);
+    const auto got = analyze(w);
     const auto want = oracle(w);
     EXPECT_EQ(got.coalesced, want.coalesced) << "mode " << mode;
     EXPECT_EQ(got.transactions, want.transactions) << "mode " << mode;

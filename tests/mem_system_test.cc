@@ -8,88 +8,95 @@
 #include "mem/const_cache.h"
 #include "mem/dram.h"
 #include "mem/texture_cache.h"
+#include "mem_reference.h"
 
 namespace g80 {
 namespace {
 
+using ref::Row;
+
 const DeviceSpec kSpec = DeviceSpec::geforce_8800_gtx();
 
-WarpAccess lanes_with_words(std::initializer_list<std::uint64_t> words) {
-  WarpAccess w;
-  for (std::uint64_t word : words) w.push_back({word * 4, 4, 0, true});
-  while (w.size() < 16) w.push_back({0, 4, 0, false});
-  return w;
+// `lanes` active lanes, lane k at byte address addr(k).
+template <class Addr>
+Row row_of(Addr addr, std::uint32_t size = 4, int lanes = 16) {
+  Row r;
+  r.mask = lanes == 32 ? ~0u : (1u << lanes) - 1u;
+  r.size = size;
+  for (int k = 0; k < lanes; ++k) r.addrs.push_back(addr(k));
+  return r;
+}
+
+// A half-warp whose first lanes read the listed words; the rest are off.
+Row row_with_words(std::initializer_list<std::uint64_t> words) {
+  Row r;
+  for (std::uint64_t word : words) {
+    r.mask |= 1u << r.addrs.size();
+    r.addrs.push_back(word * 4);
+  }
+  r.addrs.resize(16);
+  return r;
+}
+
+int shared_passes(const Row& r) {
+  return analyze_shared_warp(kSpec, r.view()).passes;
+}
+
+int const_passes(const Row& r) {
+  return analyze_const_warp(kSpec, r.view()).passes;
 }
 
 // ---- Shared-memory banks ------------------------------------------------------
 
 TEST(BankConflict, SequentialWordsConflictFree) {
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k) w[k] = {static_cast<std::uint64_t>(4 * k), 4, 0, true};
-  const auto r = analyze_shared_half_warp(kSpec, w.data(), 16);
-  EXPECT_EQ(r.serialization, 1);
-  EXPECT_FALSE(r.broadcast);
+  EXPECT_EQ(shared_passes(row_of([](int k) { return 4ull * k; })), 1);
 }
 
 TEST(BankConflict, SameWordBroadcasts) {
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k) w[k] = {128, 4, 0, true};
-  const auto r = analyze_shared_half_warp(kSpec, w.data(), 16);
-  EXPECT_EQ(r.serialization, 1);
-  EXPECT_TRUE(r.broadcast);
+  EXPECT_EQ(shared_passes(row_of([](int) { return 128ull; })), 1);
 }
 
 TEST(BankConflict, StrideTwoGivesTwoWay) {
   // Words 0,2,4,...,30: banks 0,2,...,14 each hit twice with distinct words.
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k) w[k] = {static_cast<std::uint64_t>(8 * k), 4, 0, true};
-  EXPECT_EQ(analyze_shared_half_warp(kSpec, w.data(), 16).serialization, 2);
+  EXPECT_EQ(shared_passes(row_of([](int k) { return 8ull * k; })), 2);
 }
 
 TEST(BankConflict, StrideSixteenIsWorstCase) {
   // All 16 lanes in bank 0 with distinct words: 16-way serialization.
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k) w[k] = {static_cast<std::uint64_t>(64 * k), 4, 0, true};
-  EXPECT_EQ(analyze_shared_half_warp(kSpec, w.data(), 16).serialization, 16);
+  EXPECT_EQ(shared_passes(row_of([](int k) { return 64ull * k; })), 16);
 }
 
 TEST(BankConflict, OddStrideConflictFree) {
   // Classic fix: any odd word stride is conflict-free across 16 banks.
   for (int stride : {1, 3, 5, 7, 9, 11, 13, 15, 17}) {
-    WarpAccess w(16);
-    for (int k = 0; k < 16; ++k)
-      w[k] = {static_cast<std::uint64_t>(4 * stride * k), 4, 0, true};
-    EXPECT_EQ(analyze_shared_half_warp(kSpec, w.data(), 16).serialization, 1)
-        << "stride " << stride;
+    const auto w = row_of([&](int k) { return 4ull * stride * k; });
+    EXPECT_EQ(shared_passes(w), 1) << "stride " << stride;
   }
 }
 
 TEST(BankConflict, EvenStridesConflict) {
   for (int stride : {2, 4, 8, 16}) {
-    WarpAccess w(16);
-    for (int k = 0; k < 16; ++k)
-      w[k] = {static_cast<std::uint64_t>(4 * stride * k), 4, 0, true};
-    EXPECT_GT(analyze_shared_half_warp(kSpec, w.data(), 16).serialization, 1)
-        << "stride " << stride;
+    const auto w = row_of([&](int k) { return 4ull * stride * k; });
+    EXPECT_GT(shared_passes(w), 1) << "stride " << stride;
   }
 }
 
 TEST(BankConflict, PartialBroadcastStillConflicts) {
   // 15 lanes on word 0, one lane on word 16 (same bank, different word):
   // two passes.
-  auto w = lanes_with_words({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16});
-  const auto r = analyze_shared_half_warp(kSpec, w.data(), 16);
-  EXPECT_EQ(r.serialization, 2);
-  EXPECT_FALSE(r.broadcast);
+  EXPECT_EQ(shared_passes(row_with_words(
+                {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16})),
+            2);
 }
 
 TEST(BankConflict, WarpCostSumsHalfWarps) {
-  WarpAccess w(32);
-  for (int k = 0; k < 16; ++k)
-    w[k] = {static_cast<std::uint64_t>(4 * k), 4, 0, true};  // clean
-  for (int k = 16; k < 32; ++k)
-    w[k] = {static_cast<std::uint64_t>(64 * (k - 16)), 4, 0, true};  // 16-way
-  const auto cost = analyze_shared_warp(kSpec, w);
+  const auto w = row_of(
+      [](int k) {
+        return k < 16 ? 4ull * k            // clean
+                      : 64ull * (k - 16);   // 16-way
+      },
+      4, 32);
+  const auto cost = analyze_shared_warp(kSpec, w.view());
   EXPECT_EQ(cost.passes, 1 + 16);
   EXPECT_EQ(cost.extra_passes, (1 - 1) + (16 - 1));
 }
@@ -98,39 +105,29 @@ TEST(BankConflict, Float2SpansTwoBanks) {
   // 8-byte accesses at stride 8 touch banks (2k, 2k+1): conflict-free for a
   // half-warp only up to 8 lanes; 16 lanes wrap and collide with distinct
   // words -> 2-way.
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k)
-    w[k] = {static_cast<std::uint64_t>(8 * k), 8, 0, true};
-  EXPECT_EQ(analyze_shared_half_warp(kSpec, w.data(), 16).serialization, 2);
+  EXPECT_EQ(shared_passes(row_of([](int k) { return 8ull * k; }, 8)), 2);
 }
 
 // ---- Constant cache -----------------------------------------------------------
 
 TEST(ConstCache, UniformAddressBroadcasts) {
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k) w[k] = {1024, 4, 0, true};
-  const auto r = analyze_const_half_warp(kSpec, w.data(), 16);
-  EXPECT_TRUE(r.broadcast);
-  EXPECT_EQ(r.serialization, 1);
+  EXPECT_EQ(const_passes(row_of([](int) { return 1024ull; })), 1);
 }
 
 TEST(ConstCache, DistinctAddressesSerialize) {
-  WarpAccess w(16);
-  for (int k = 0; k < 16; ++k) w[k] = {static_cast<std::uint64_t>(4 * k), 4, 0, true};
-  const auto r = analyze_const_half_warp(kSpec, w.data(), 16);
-  EXPECT_FALSE(r.broadcast);
-  EXPECT_EQ(r.serialization, 16);
+  EXPECT_EQ(const_passes(row_of([](int k) { return 4ull * k; })), 16);
 }
 
 TEST(ConstCache, PartialDivergenceCostsDistinctCount) {
-  auto w = lanes_with_words({0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3});
-  EXPECT_EQ(analyze_const_half_warp(kSpec, w.data(), 16).serialization, 4);
+  EXPECT_EQ(const_passes(row_with_words(
+                {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3})),
+            4);
 }
 
 TEST(ConstCache, WarpExtraPasses) {
-  WarpAccess w(32);
-  for (int k = 0; k < 32; ++k) w[k] = {static_cast<std::uint64_t>(k < 16 ? 0 : 4 * k), 4, 0, true};
-  const auto cost = analyze_const_warp(kSpec, w);
+  const auto w =
+      row_of([](int k) { return k < 16 ? 0ull : 4ull * k; }, 4, 32);
+  const auto cost = analyze_const_warp(kSpec, w.view());
   EXPECT_EQ(cost.passes, 1 + 16);
   EXPECT_EQ(cost.extra_passes, (1 - 1) + (16 - 1));
 }

@@ -1,34 +1,36 @@
-// Unit-level oracles for the trace pipeline's two representations of a
-// warp's memory accesses.
+// Unit-level oracles for the trace pipeline.
 //
-//  - Analyzers: every *_soa entry point (one trace-arena row) must produce
-//    exactly what its AoS twin produces on the expanded WarpAccess — same
-//    active lanes, sizes and addresses — for coalescing, bank conflicts,
-//    constant broadcast, and texture hits/misses on fresh caches probed in
-//    the same order.
+//  - Analyzers: every G80 memory-rule analyzer (one SoA trace-arena row)
+//    must produce exactly what the std::set reference rules in
+//    tests/mem_reference.h produce on the same lanes — for coalescing, bank
+//    conflicts and constant broadcast — and the texture cache's warp probe
+//    must match per-lane probes of a fresh cache in the same order.
 //  - Arena: random per-lane access sequences recorded through
 //    WarpSpaceBatch::record in thread order must come back out exactly:
-//    reconstruct_lane(k) is lane k's input, and a clean (positionally
-//    converged) stream's rows are the (site, occurrence) grouping
-//    group_warp_instructions computes from the inputs.
+//    reconstruct_lane(k) is lane k's input, and the rows the analyzers read
+//    (a clean stream's own rows, a dirty stream's regroup) are the
+//    reference (key, occurrence) grouping of the inputs.
 //
-// Inputs vary active masks, access sizes 4/8/16, aligned / strided /
-// scattered addresses, warp sizes 2..32, and — for the arena — divergent
-// trip counts, mixed sizes at one site, branch-arm-specific sites and
-// barrier phases.  Fixed seeds keep failures reproducible.
+// Inputs vary active masks, access widths from 1 B to 256 B (wide enough
+// that one half-warp touches hundreds of segments or words), aligned /
+// strided / scattered addresses, warp sizes 2..32, and — for the arena —
+// divergent trip counts, mixed sizes at one site, branch-arm-specific sites
+// and barrier phases.  Fixed seeds keep failures reproducible.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "cudalite/trace_arena.h"
-#include "cudalite/trace_collect.h"
 #include "hw/device_spec.h"
 #include "mem/bank_conflict.h"
 #include "mem/coalescing.h"
 #include "mem/const_cache.h"
 #include "mem/texture_cache.h"
+#include "mem_reference.h"
 
 namespace g80 {
 namespace {
@@ -48,14 +50,21 @@ std::uint32_t random_size(std::mt19937& rng) {
   return kSizes[std::uniform_int_distribution<int>(0, 2)(rng)];
 }
 
+// Every width a kernel's sizeof(T) might give, up to far past the 32-byte
+// segment: 48 B and up spill a lane across several segments or banks.
+std::uint32_t random_width(std::mt19937& rng) {
+  constexpr std::uint32_t kWidths[] = {1, 2, 4, 8, 12, 16, 48, 128, 256};
+  return kWidths[std::uniform_int_distribution<int>(0, 8)(rng)];
+}
+
 // ---- Analyzer oracle --------------------------------------------------------
 
-// One warp instruction in both layouts.  Inactive lanes' SoA address slots
-// hold garbage, so an analyzer that reads them shows up as a mismatch.
+// One warp instruction as reference lanes and as an SoA row.  Inactive
+// lanes' row address slots hold garbage, so an analyzer that reads them
+// shows up as a mismatch.
 struct WarpCase {
-  WarpAccess aos;
-  std::vector<std::uint64_t> addrs;
-  SoaWarpAccess soa;
+  ref::Warp lanes;
+  ref::Row row;
 };
 
 WarpCase random_warp(std::mt19937& rng, int ws, std::uint64_t range) {
@@ -67,7 +76,7 @@ WarpCase random_warp(std::mt19937& rng, int ws, std::uint64_t range) {
     case 1: mask = 0; break;
     default: mask = static_cast<std::uint32_t>(rng()) & full; break;
   }
-  const std::uint32_t size = random_size(rng);
+  const std::uint32_t size = random_width(rng);
   // Aligned line, a small stride (2 = bank/segment conflicts), one shared
   // address (broadcast), or scattered.
   const int pattern = std::uniform_int_distribution<int>(0, 3)(rng);
@@ -77,8 +86,10 @@ WarpCase random_warp(std::mt19937& rng, int ws, std::uint64_t range) {
   if (pattern == 0) base -= base % line;
   const std::uint64_t stride = std::uniform_int_distribution<int>(1, 3)(rng);
 
-  c.aos.assign(static_cast<std::size_t>(ws), MemAccess{});
-  c.addrs.assign(static_cast<std::size_t>(ws), 0xdeadbeefull);
+  c.lanes.assign(static_cast<std::size_t>(ws), ref::Lane{});
+  c.row.mask = mask;
+  c.row.size = size;
+  c.row.addrs.assign(static_cast<std::size_t>(ws), 0xdeadbeefull);
   for (int k = 0; k < ws; ++k) {
     if (!(mask & (1u << k))) continue;
     std::uint64_t addr = 0;
@@ -91,43 +102,45 @@ WarpCase random_warp(std::mt19937& rng, int ws, std::uint64_t range) {
                size * size;
         break;
     }
-    c.addrs[static_cast<std::size_t>(k)] = addr;
-    c.aos[static_cast<std::size_t>(k)] = {addr, size, 1, true, false};
+    c.row.addrs[static_cast<std::size_t>(k)] = addr;
+    c.lanes[static_cast<std::size_t>(k)] = {addr, size, true};
   }
-  c.soa = SoaWarpAccess{mask, size, nullptr, ws};
   return c;
 }
 
-TEST(AnalyzerOracle, SoaEntryPointsMatchAosTwins) {
+TEST(AnalyzerOracle, AnalyzersMatchReferenceRules) {
   std::mt19937 rng(20080220);
+  int wide_global = 0, wide_shared = 0;
   for (int it = 0; it < 3000; ++it) {
     const int ws = random_warp_size(rng);
     const DeviceSpec spec = spec_with_warp(ws);
 
-    WarpCase g = random_warp(rng, ws, 1 << 20);
-    g.soa.addrs = g.addrs.data();
-    const CoalesceResult a = analyze_warp(spec, g.aos);
-    const CoalesceResult b = analyze_warp_soa(spec, g.soa);
+    const WarpCase g = random_warp(rng, ws, 1 << 20);
+    const CoalesceResult a = ref::analyze_warp(spec, g.lanes);
+    const CoalesceResult b = analyze_warp(spec, g.row.view());
     EXPECT_EQ(a.transactions, b.transactions) << "ws=" << ws << " it=" << it;
     EXPECT_EQ(a.dram_bytes, b.dram_bytes) << "ws=" << ws << " it=" << it;
     EXPECT_EQ(a.scattered_bytes, b.scattered_bytes) << "ws=" << ws;
     EXPECT_EQ(a.useful_bytes, b.useful_bytes) << "ws=" << ws << " it=" << it;
     EXPECT_EQ(a.coalesced, b.coalesced) << "ws=" << ws << " it=" << it;
+    wide_global += g.row.size > 96 && g.row.mask != 0;
 
-    WarpCase s = random_warp(rng, ws, spec.shared_mem_per_sm);
-    s.soa.addrs = s.addrs.data();
-    const WarpBankCost sa = analyze_shared_warp(spec, s.aos);
-    const WarpBankCost sb = analyze_shared_warp_soa(spec, s.soa);
+    const WarpCase s = random_warp(rng, ws, spec.shared_mem_per_sm);
+    const ref::WarpPasses sa = ref::analyze_shared_warp(spec, s.lanes);
+    const WarpBankCost sb = analyze_shared_warp(spec, s.row.view());
     EXPECT_EQ(sa.passes, sb.passes) << "ws=" << ws << " it=" << it;
     EXPECT_EQ(sa.extra_passes, sb.extra_passes) << "ws=" << ws << " it=" << it;
+    wide_shared += s.row.size > 32 && s.row.mask != 0;
 
-    WarpCase k = random_warp(rng, ws, 64 * 1024);
-    k.soa.addrs = k.addrs.data();
-    const WarpConstCost ka = analyze_const_warp(spec, k.aos);
-    const WarpConstCost kb = analyze_const_warp_soa(spec, k.soa);
+    const WarpCase k = random_warp(rng, ws, 64 * 1024);
+    const ref::WarpPasses ka = ref::analyze_const_warp(spec, k.lanes);
+    const WarpConstCost kb = analyze_const_warp(spec, k.row.view());
     EXPECT_EQ(ka.passes, kb.passes) << "ws=" << ws << " it=" << it;
     EXPECT_EQ(ka.extra_passes, kb.extra_passes) << "ws=" << ws << " it=" << it;
   }
+  // Widths past a segment per lane were drawn often enough to matter.
+  EXPECT_GT(wide_global, 300);
+  EXPECT_GT(wide_shared, 300);
 }
 
 TEST(AnalyzerOracle, TextureWarpProbesMatchPerLaneProbes) {
@@ -139,15 +152,14 @@ TEST(AnalyzerOracle, TextureWarpProbesMatchPerLaneProbes) {
     // so hits, misses and evictions all occur.
     TextureCache per_lane(spec), per_warp(spec);
     for (int j = 0; j < 24; ++j) {
-      WarpCase t = random_warp(rng, ws, 3 * spec.texture_cache_bytes);
-      t.soa.addrs = t.addrs.data();
+      const WarpCase t = random_warp(rng, ws, 3 * spec.texture_cache_bytes);
       std::uint64_t hits = 0, misses = 0;
-      for (const MemAccess& a : t.aos) {
+      for (const ref::Lane& a : t.lanes) {
         if (!a.active) continue;
         if (per_lane.access(a.addr)) ++hits;
         else ++misses;
       }
-      const auto r = per_warp.access_warp_soa(t.soa);
+      const auto r = per_warp.access_warp(t.row.view());
       EXPECT_EQ(hits, r.hits) << "ws=" << ws << " it=" << it << " j=" << j;
       EXPECT_EQ(misses, r.misses) << "ws=" << ws << " it=" << it << " j=" << j;
     }
@@ -163,7 +175,6 @@ void expect_same_access(const MemAccess& a, const MemAccess& b,
   EXPECT_EQ(a.addr, b.addr) << what << " lane " << lane << " #" << j;
   EXPECT_EQ(a.size, b.size) << what << " lane " << lane << " #" << j;
   EXPECT_EQ(a.site, b.site) << what << " lane " << lane << " #" << j;
-  EXPECT_EQ(a.active, b.active) << what << " lane " << lane << " #" << j;
   EXPECT_EQ(a.store, b.store) << what << " lane " << lane << " #" << j;
 }
 
@@ -210,23 +221,23 @@ Phases random_program(std::mt19937& rng, int lane_count, bool divergent) {
         const std::uint64_t addr = base + static_cast<std::uint64_t>(k) * 4;
         switch (op.kind) {
           case Op::kUniform:
-            seq.push_back({addr, op.size, op.site, true, op.store});
+            seq.push_back({addr, op.size, op.site, op.store});
             break;
           case Op::kArm:
             // The lanes not taking this arm run a sibling arm's site.
             if (op.arm_mask & (1u << k))
-              seq.push_back({addr, op.size, op.site, true, op.store});
+              seq.push_back({addr, op.size, op.site, op.store});
             else
-              seq.push_back({addr, op.size, op.site + 1000, true, op.store});
+              seq.push_back({addr, op.size, op.site + 1000, op.store});
             break;
           case Op::kLoop:
             for (int t = 0; t <= k % op.trip_mod; ++t)
               seq.push_back({addr + static_cast<std::uint64_t>(t) * 256,
-                             op.size, op.site, true, op.store});
+                             op.size, op.site, op.store});
             break;
           case Op::kMixedSize:
             seq.push_back({addr, k % 2 == 0 ? op.size : (op.size == 4 ? 8 : 4),
-                           op.site, true, op.store});
+                           op.site, op.store});
             break;
         }
       }
@@ -235,10 +246,43 @@ Phases random_program(std::mt19937& rng, int lane_count, bool divergent) {
   return phases;
 }
 
+// Reference grouping: one warp instruction per (site, size, direction,
+// occurrence of that triple in the lane), in first-appearance order over
+// lanes in thread order.
+struct RefRow {
+  std::uint64_t key = 0;
+  std::uint32_t mask = 0;
+  std::vector<std::uint64_t> addrs;
+};
+
+std::vector<RefRow> reference_rows(
+    const std::vector<std::vector<MemAccess>>& lanes, int ws) {
+  using Identity = std::tuple<std::uint32_t, std::uint32_t, bool>;
+  std::map<std::pair<Identity, std::uint32_t>, std::size_t> index;
+  std::vector<RefRow> rows;
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    std::map<Identity, std::uint32_t> occurrence;
+    for (const MemAccess& a : lanes[k]) {
+      const Identity id{a.site, a.size, a.store};
+      const auto [it, inserted] =
+          index.emplace(std::pair{id, occurrence[id]++}, rows.size());
+      if (inserted) {
+        rows.push_back({pack_trace_key(a.site, a.size, a.store), 0,
+                        std::vector<std::uint64_t>(
+                            static_cast<std::size_t>(ws))});
+      }
+      rows[it->second].mask |= 1u << k;
+      rows[it->second].addrs[k] = a.addr;
+    }
+  }
+  return rows;
+}
+
 TEST(ArenaOracle, RecordedStreamsReconstructAndGroupExactly) {
   std::mt19937 rng(8800);
   int clean = 0, dirty = 0;
   TraceArena arena;
+  WarpSpaceBatch regrouped;  // reused across iterations, as the collector does
   for (int it = 0; it < 600; ++it) {
     const int ws = random_warp_size(rng);
     const int lane_count = std::uniform_int_distribution<int>(1, ws)(rng);
@@ -272,25 +316,26 @@ TEST(ArenaOracle, RecordedStreamsReconstructAndGroupExactly) {
 
     // A converged program never leaves the positional fast path.
     EXPECT_TRUE(divergent || !s.dirty()) << "it=" << it;
+    // The rows the collector analyzes: a clean stream's own, a dirty
+    // stream's regroup.
+    const WarpSpaceBatch* rows = &s;
     if (s.dirty()) {
       ++dirty;
-      continue;
+      s.regroup(lane_count, &regrouped);
+      rows = &regrouped;
+    } else {
+      ++clean;
     }
-    ++clean;
-    // A clean stream's rows are the (site, occurrence) grouping.
-    const auto groups = group_warp_instructions(lanes.data(), lane_count, ws);
-    ASSERT_EQ(s.rows(), groups.size()) << "it=" << it;
-    for (std::size_t j = 0; j < groups.size(); ++j) {
-      const std::uint64_t key = s.keys[j];
-      ASSERT_EQ(groups[j].size(), static_cast<std::size_t>(ws));
+    const std::vector<RefRow> want = reference_rows(lanes, ws);
+    ASSERT_EQ(rows->rows(), want.size()) << "it=" << it;
+    ASSERT_EQ(rows->stride, ws) << "it=" << it;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(rows->keys[j], want[j].key) << "it=" << it << " row " << j;
+      ASSERT_EQ(rows->masks[j], want[j].mask) << "it=" << it << " row " << j;
       for (int k = 0; k < ws; ++k) {
-        const MemAccess& g = groups[j][static_cast<std::size_t>(k)];
-        const bool in_row = (s.masks[j] >> k) & 1u;
-        ASSERT_EQ(in_row, g.active) << "it=" << it << " row " << j;
-        if (!g.active) continue;
-        const MemAccess row{s.row_addrs(j)[k], trace_key_size(key),
-                            trace_key_site(key), true, trace_key_store(key)};
-        expect_same_access(row, g, "row", k, j);
+        if ((want[j].mask >> k & 1u) == 0) continue;
+        EXPECT_EQ(rows->row_addrs(j)[k], want[j].addrs[k])
+            << "it=" << it << " row " << j << " lane " << k;
       }
     }
   }
