@@ -12,9 +12,14 @@
 // 2. Streams — the same four h2d→kernel→d2h pipelines pushed through one
 //    stream vs four, with measured wall-clock and the modeled
 //    serialized-vs-overlapped totals from the timeline.
+// 3. Per-launch setup — a launch so small (n=32 matmul, 2x2 blocks) that its
+//    wall time is mostly fixed cost: p50 over 200 launches on one thread,
+//    and the fiber stacks each steady-state launch maps, gated at exactly 0
+//    (launches keep one BlockRunner per thread, fibers included).
 //
 // Emits the standard g80bench-result document (bench/harness.h); wall-clock
 // metrics carry the `wall_` prefix so the regression checker skips them.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -26,6 +31,7 @@
 #include "common/str.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
+#include "exec/fiber.h"
 #include "exec/worker_pool.h"
 #include "prof/profiler.h"
 #include "rt/runtime.h"
@@ -184,6 +190,42 @@ int main(int argc, char** argv) {
   const double one_wall = run_pipelines(1, &one_total, &one_serial);
   const double four_wall = run_pipelines(4, &four_total, &four_serial);
 
+  // ---- Part 3: per-launch setup ----
+  constexpr int kSmallLaunches = 200;
+  double small_p50_us = 0;
+  double small_stacks_per_launch = 0;
+  {
+    const int sn_mat = 32;
+    const auto swl = MatmulWorkload::generate(sn_mat, h.seed());
+    const MatmulTiledKernel skernel{sn_mat, tile, /*unrolled=*/true};
+    Device dev;
+    auto a = dev.alloc<float>(swl.a.size());
+    auto b = dev.alloc<float>(swl.b.size());
+    auto c = dev.alloc<float>(static_cast<std::size_t>(sn_mat) * sn_mat);
+    a.copy_from_host(swl.a);
+    b.copy_from_host(swl.b);
+    LaunchOptions opt;
+    opt.regs_per_thread = 9;
+    opt.sample_blocks = 0;
+    auto small_launch = [&] {
+      launch(dev, Dim3(sn_mat / tile, sn_mat / tile), Dim3(tile, tile), opt,
+             skernel, a, b, c);
+    };
+    small_launch();  // warm-up: this thread's runner and fibers
+    std::vector<double> us(kSmallLaunches);
+    const std::uint64_t stacks_before = Fiber::stacks_mapped();
+    for (double& t : us) {
+      const double t0 = now_seconds();
+      small_launch();
+      t = (now_seconds() - t0) * 1e6;
+    }
+    small_stacks_per_launch =
+        static_cast<double>(Fiber::stacks_mapped() - stacks_before) /
+        kSmallLaunches;
+    std::nth_element(us.begin(), us.begin() + kSmallLaunches / 2, us.end());
+    small_p50_us = us[kSmallLaunches / 2];
+  }
+
   // ---- Results ----
   bool all_identical = true;
   h.human() << "interpreter scalability, " << n << "x" << n << " matmul ("
@@ -243,6 +285,16 @@ int main(int argc, char** argv) {
     row.set("modeled_overlap_saving_pct", saving_pct);
   }
 
+  h.human() << "small launch (n=32 matmul, 2x2 blocks, no trace): p50 "
+            << fixed(small_p50_us, 1) << " us over " << kSmallLaunches
+            << " launches, " << fixed(small_stacks_per_launch, 3)
+            << " fiber stacks mapped per launch\n";
+  {
+    auto& row = h.result("small_launch");
+    row.set("wall_p50_us", small_p50_us);
+    row.set("stacks_mapped_per_launch", small_stacks_per_launch);
+  }
+
   Device spec_dev;
   const int rc = h.finish(spec_dev.spec());
   if (!all_identical) {
@@ -253,6 +305,11 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: traced-path digest "
               << std::hex << traced_digest << " != pinned " << kTracedDigest
               << std::dec << "\n";
+    return 1;
+  }
+  if (small_stacks_per_launch != 0) {
+    std::cerr << "FAIL: a steady-state launch mapped "
+              << small_stacks_per_launch << " fiber stacks (want 0)\n";
     return 1;
   }
   return rc;

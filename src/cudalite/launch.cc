@@ -1,6 +1,7 @@
 #include "cudalite/launch.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace g80 {
 
@@ -16,6 +17,17 @@ void set_ambient_launch_pool(WorkerPool* pool) { t_ambient_pool = pool; }
 }  // namespace g80
 
 namespace g80::detail {
+
+BlockRunner& thread_block_runner(std::size_t smem_capacity) {
+  // A handful of entries at most: one per distinct SM shared-memory size
+  // this thread has launched for.
+  thread_local std::vector<std::unique_ptr<BlockRunner>> runners;
+  for (const auto& r : runners)
+    if (r->shared().capacity() == smem_capacity) return *r;
+  // The per-thread tables grow to each block's size on first use.
+  runners.push_back(std::make_unique<BlockRunner>(0, smem_capacity));
+  return *runners.back();
+}
 
 std::vector<std::uint64_t> pick_sample_blocks(std::uint64_t total, int n) {
   std::vector<std::uint64_t> out;

@@ -132,9 +132,10 @@ struct LaunchOptions {
   // blocks across this pool's workers.  nullptr falls back to the ambient
   // pool (set_ambient_launch_pool / ScopedLaunchPool), and with neither the
   // sequential path runs.  Kernel outputs and LaunchStats are bit-identical
-  // either way: each worker slot owns a private BlockRunner (fibers +
-  // shared-memory arena) and per-block traces merge in sample order.  The
-  // g80check pass stays sequential — its shadow state is grid-global.
+  // either way: each thread running blocks uses its own BlockRunner (fibers
+  // + shared-memory arena, kept across launches) and per-block traces merge
+  // in sample order.  The g80check pass stays sequential — its shadow state
+  // is grid-global.
   WorkerPool* pool = nullptr;
   // g80resil: opt-in watchdog timeouts, retry-with-backoff recovery, and
   // graceful degradation (see resil/policy.h and docs/error-handling.md).
@@ -190,36 +191,58 @@ namespace detail {
 // first and last block so grid-edge partial warps are represented.
 std::vector<std::uint64_t> pick_sample_blocks(std::uint64_t total, int n);
 
-// Per-slot BlockRunner scratch for the passes.  Every slot's runner is built
-// lazily, on the first block that slot runs, and touched only by the thread
-// owning that slot (slot 0 is the launching thread), so no locking is needed.
+// The calling thread's BlockRunner for SMs with `smem_capacity` bytes of
+// shared memory: built on the thread's first launch for that capacity and
+// kept until the thread exits, so its fibers, and their mapped stacks, carry
+// over from launch to launch.  Runners are cached per OS thread, never per
+// WorkerPool slot: slot numbers are per job, and two streams sharing a pool
+// run their own slot 1 at the same time on different helper threads.
+BlockRunner& thread_block_runner(std::size_t smem_capacity);
+
+// Runs the blocks of one launch's passes on the borrowed per-thread
+// runners, and keeps per slot the kernel's shared-memory footprint.
 class RunnerSet {
  public:
-  RunnerSet(int slots, int max_threads, std::size_t smem_capacity)
-      : runners_(static_cast<std::size_t>(slots)),
-        max_threads_(max_threads),
-        smem_capacity_(smem_capacity) {}
+  RunnerSet(int slots, Dim3 grid, Dim3 block, std::size_t smem_capacity,
+            const CancelToken* cancel)
+      : smem_used_(static_cast<std::size_t>(slots), 0),
+        grid_(grid),
+        block_(block),
+        smem_capacity_(smem_capacity),
+        cancel_(cancel) {}
 
-  BlockRunner& at(int slot) {
-    auto& r = runners_[static_cast<std::size_t>(slot)];
-    if (!r) r = std::make_unique<BlockRunner>(max_threads_, smem_capacity_);
-    return *r;
+  // Runs block `b` as `slot` on the calling thread's runner;
+  // thread_body(env, tid) runs each of its threads.  Every acquire attaches
+  // this launch's cancel token and `observer` (usually none): the runner
+  // outlives the launch, so whatever a pass that threw left attached is
+  // dropped here.  The footprint is stored right after the run, while this
+  // thread still holds the runner — once the pass drains, a helper thread
+  // may already be running another stream's kernel on it.
+  template <class ThreadBody>
+  void run_block(int slot, std::uint64_t b, const ThreadBody& thread_body,
+                 BarrierObserver* observer = nullptr) {
+    BlockRunner& r = thread_block_runner(smem_capacity_);
+    r.set_cancel_token(cancel_);
+    r.set_barrier_observer(observer);
+    BlockEnv env{&r, grid_, block_,
+                 delinearize(static_cast<unsigned>(b), grid_)};
+    r.run(static_cast<int>(block_.count()),
+          [&](int tid) { thread_body(env, tid); });
+    smem_used_[static_cast<std::size_t>(slot)] = r.shared().bytes_used();
   }
 
   // Shared-memory footprint of the kernel: static __shared__ layout is
-  // identical for every block (the CUDA model), so the max over runners that
-  // executed at least one block equals the sequential path's value.
+  // identical for every block (the CUDA model), so the max over slots that
+  // ran at least one block equals the sequential path's value.
   std::size_t smem_bytes_used() const {
-    std::size_t used = 0;
-    for (const auto& r : runners_)
-      if (r) used = std::max(used, r->shared().bytes_used());
-    return used;
+    return *std::max_element(smem_used_.begin(), smem_used_.end());
   }
 
  private:
-  std::vector<std::unique_ptr<BlockRunner>> runners_;
-  int max_threads_;
+  std::vector<std::size_t> smem_used_;  // per slot, 0 until it runs a block
+  Dim3 grid_, block_;
   std::size_t smem_capacity_;
+  const CancelToken* cancel_;
 };
 
 // Dispatch body(slot, index) over [0, total): sequential on the caller when
@@ -336,7 +359,8 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   const int slots =
       pool != nullptr && pool->width() > 1 ? pool->width() : 1;
 
-  detail::RunnerSet runners(slots, threads, spec.shared_mem_per_sm);
+  detail::RunnerSet runners(slots, grid, block, spec.shared_mem_per_sm,
+                            cancel);
 
   stats.grid = grid;
   stats.block = block;
@@ -362,16 +386,12 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       detail::for_each_block(
           pool, samples.size(),
           [&](int slot, std::uint64_t i) {
-            BlockRunner& r = runners.at(slot);
-            r.set_cancel_token(cancel);
             auto& lanes = slot_lanes[static_cast<std::size_t>(slot)];
             lanes.resize(static_cast<std::size_t>(threads));
             for (auto& l : lanes) l.clear();
             auto& arena = slot_arenas[static_cast<std::size_t>(slot)];
             arena.begin_block(spec, threads);
-            BlockEnv env{&r, grid, block,
-                         delinearize(static_cast<unsigned>(samples[i]), grid)};
-            r.run(threads, [&](int tid) {
+            runners.run_block(slot, samples[i], [&](BlockEnv& env, int tid) {
               TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], arena, tid));
               kernel(ctx, args...);
             });
@@ -413,19 +433,16 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
     // rewrites every output).
     if (sanitize_enabled) {
       Sanitizer san(opt.sanitize, spec.shared_mem_per_sm);
-      BlockRunner& runner = runners.at(0);
-      runner.set_cancel_token(cancel);
-      runner.set_barrier_observer(&san);
       for (std::uint64_t b = 0; b < total_blocks; ++b) {
-        BlockEnv env{&runner, grid, block,
-                     delinearize(static_cast<unsigned>(b), grid)};
         san.begin_block(b);
-        runner.run(threads, [&](int tid) {
-          SanitizeCtx ctx(&env, tid, SanitizerRecorder(&san, tid));
-          kernel(ctx, args...);
-        });
+        runners.run_block(
+            0, b,
+            [&](BlockEnv& env, int tid) {
+              SanitizeCtx ctx(&env, tid, SanitizerRecorder(&san, tid));
+              kernel(ctx, args...);
+            },
+            &san);
       }
-      runner.set_barrier_observer(nullptr);
       stats.sanitizer = san.report();
       if (!stats.sanitizer.clean()) {
         dev.record_status(stats.sanitizer.findings.front().status);
@@ -445,11 +462,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       detail::for_each_block(
           pool, total_blocks,
           [&](int slot, std::uint64_t b) {
-            BlockRunner& r = runners.at(slot);
-            r.set_cancel_token(cancel);
-            BlockEnv env{&r, grid, block,
-                         delinearize(static_cast<unsigned>(b), grid)};
-            r.run(threads, [&](int tid) {
+            runners.run_block(slot, b, [&](BlockEnv& env, int tid) {
               FuncCtx ctx(&env, tid, NullRecorder{});
               kernel(ctx, args...);
             });

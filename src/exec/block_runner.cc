@@ -61,7 +61,7 @@ void BlockRunner::fiber_entry(void* arg) {
 
 Fiber& BlockRunner::claim_fiber(int tid) {
   if (claimed_ == fibers_.size())
-    fibers_.push_back(std::make_unique<Fiber>(kStackBytes));
+    fibers_.push_back(std::make_unique<Fiber>());
   Fiber* fiber = fibers_[claimed_++].get();
   ++started_;
   thread_fiber_[tid] = fiber;

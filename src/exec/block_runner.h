@@ -137,8 +137,6 @@ class BlockRunner {
  private:
   enum class ThreadStatus { kRunning, kAtBarrier, kDone };
 
-  static constexpr std::size_t kStackBytes = 128 * 1024;  // per fiber
-
   // Raw fiber entry (`arg` is the runner): runs thread current_, then the
   // following unstarted threads on the same stack for as long as each one
   // exits without parking.  A plain function pointer keeps arming

@@ -1,8 +1,13 @@
 #include "exec/fiber.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "common/error.h"
 
@@ -22,6 +27,7 @@ void g80_ctx_entry() noexcept;
 // <sanitizer/common_interface_defs.h>: start_switch before leaving a
 // context, finish_switch immediately after arriving in one.
 #ifdef G80_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -50,6 +56,17 @@ inline void asan_finish_switch(void* fake_stack_save, const void** bottom_old,
   __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
 #else
   (void)fake_stack_save; (void)bottom_old; (void)size_old;
+#endif
+}
+
+// Frames abandoned on a stack (a cancelled or failed block) leave their
+// redzones poisoned; clear them before the pages go back to the OS, where a
+// later mapping may reuse the addresses.
+inline void asan_unpoison(const void* addr, std::size_t size) {
+#ifdef G80_ASAN_FIBERS
+  __asan_unpoison_memory_region(addr, size);
+#else
+  (void)addr; (void)size;
 #endif
 }
 
@@ -107,14 +124,46 @@ struct Fiber::Return {
   Fiber* from = nullptr;
 };
 
-Fiber::Fiber(std::size_t stack_bytes) : stack_(stack_bytes) {
+namespace {
+
+std::atomic<std::uint64_t> g_stacks_mapped{0};
+
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
+
+std::uint64_t Fiber::stacks_mapped() {
+  return g_stacks_mapped.load(std::memory_order_relaxed);
+}
+
+Fiber::Fiber(std::size_t stack_bytes) {
   G80_CHECK(stack_bytes >= 16 * 1024);
+  const std::size_t page = page_bytes();
+  stack_bytes_ = (stack_bytes + page - 1) / page * page;
+  // Mapped read-write and left untouched: the kernel supplies zero pages on
+  // first touch, so only the depth a body actually reaches becomes
+  // resident.  Failures surface as bad_alloc, like any host allocation.
+  void* base = mmap(nullptr, page + stack_bytes_, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  if (mprotect(base, page, PROT_NONE) != 0) {
+    munmap(base, page + stack_bytes_);
+    throw std::bad_alloc();
+  }
+  stack_ = static_cast<char*>(base) + page;
+  g_stacks_mapped.fetch_add(1, std::memory_order_relaxed);
 }
 
 Fiber::~Fiber() {
 #if !G80_FIBER_FAST
   tsan_destroy_fiber(tsan_fiber_);
+  asan_unpoison(stack_, stack_bytes_);
 #endif
+  const std::size_t page = page_bytes();
+  munmap(stack_ - page, page + stack_bytes_);
 }
 
 void Fiber::start(std::function<void()> body) {
@@ -143,7 +192,7 @@ void Fiber::arm() {
   // Build the initial frame g80_ctx_swap will restore; the layout contract
   // lives at the top of fiber_ctx.S.  Arming is just ~64 bytes of stores —
   // no syscall, no allocation — so it is cheap enough to do per block.
-  char* top = stack_.data() + stack_.size();
+  char* top = stack_ + stack_bytes_;
   top -= reinterpret_cast<std::uintptr_t>(top) & 15;  // 16-byte align
   auto put = [&](int off, std::uint64_t v) {
     std::memcpy(top - off, &v, sizeof v);
@@ -169,8 +218,8 @@ void Fiber::arm() {
   tsan_fiber_ = tsan_create_fiber();
 
   G80_CHECK(getcontext(&context_) == 0);
-  context_.uc_stack.ss_sp = stack_.data();
-  context_.uc_stack.ss_size = stack_.size();
+  context_.uc_stack.ss_sp = stack_;
+  context_.uc_stack.ss_size = stack_bytes_;
   context_.uc_link = nullptr;  // the trampoline switches out; it never returns
 
   // makecontext only passes ints; split the pointer across two.
@@ -245,7 +294,7 @@ Fiber::State Fiber::resume() {
 #else
   ret.tsan_fiber = tsan_current_fiber();
   void* fake_stack_save = nullptr;
-  asan_start_switch(&fake_stack_save, stack_.data(), stack_.size());
+  asan_start_switch(&fake_stack_save, stack_, stack_bytes_);
   tsan_switch_to(tsan_fiber_);
   G80_CHECK(swapcontext(&ret.ctx, &context_) == 0);
   asan_finish_switch(fake_stack_save, nullptr, nullptr);
@@ -285,7 +334,7 @@ void Fiber::yield_to(Fiber& next) {
   g80_ctx_swap(&sp_, next.sp_);
 #else
   void* fake_stack_save = nullptr;
-  asan_start_switch(&fake_stack_save, next.stack_.data(), next.stack_.size());
+  asan_start_switch(&fake_stack_save, next.stack_, next.stack_bytes_);
   tsan_switch_to(next.tsan_fiber_);
   G80_CHECK(swapcontext(&context_, &next.context_) == 0);
   arrive(fake_stack_save);

@@ -28,6 +28,15 @@
 // exception propagation, barrier counts): the same test suite, golden trace
 // digests included, passes in a plain x86-64 build (fast) and under
 // scripts/check_sanitize.sh and scripts/check_tsan.sh (ucontext).
+//
+// Each stack is an anonymous mmap region, never zero-filled by us, so a
+// fiber costs resident memory only for the pages its bodies touch.  A
+// PROT_NONE guard page sits below the usable part: a body that runs off the
+// end of its stack dies with SIGSEGV instead of overwriting whatever is
+// mapped below.  Mapping a stack costs two syscalls (mmap + mprotect) and
+// releasing it one, so owners keep fibers alive and re-arm them
+// (BlockRunner keeps its fibers, and launches keep one runner per OS
+// thread; see cudalite/launch.h).
 #pragma once
 
 // The engine depends only on compiler-wide predefined macros (target CPU,
@@ -56,9 +65,9 @@
 #endif
 
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <vector>
 
 namespace g80 {
 
@@ -66,11 +75,21 @@ class Fiber {
  public:
   enum class State { kIdle, kRunnable, kSuspended, kDone };
 
-  explicit Fiber(std::size_t stack_bytes = 128 * 1024);
-  ~Fiber();  // releases the TSan fiber context in TSan builds
+  // Default usable stack size, excluding the guard page.
+  static constexpr std::size_t kStackBytes = 128 * 1024;
+
+  // Maps a stack of `stack_bytes` usable bytes (rounded up to whole pages)
+  // above a guard page.
+  explicit Fiber(std::size_t stack_bytes = kStackBytes);
+  ~Fiber();  // unmaps the stack; releases the TSan fiber context
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
+
+  // Stacks mapped by every Fiber of this process so far (monotonic; a
+  // relaxed counter, exact once the threads that built fibers are joined or
+  // quiescent).
+  static std::uint64_t stacks_mapped();
 
   // (Re)arm the fiber with a new body; reuses the stack.
   void start(std::function<void()> body);
@@ -107,7 +126,10 @@ class Fiber {
   // done; the engine's trampoline then switches out for the last time.
   void run_body();
 
-  std::vector<char> stack_;
+  // Usable stack [stack_, stack_ + stack_bytes_); the guard page lies just
+  // below stack_, at the start of the mapping.
+  char* stack_ = nullptr;
+  std::size_t stack_bytes_ = 0;
 #if G80_FIBER_FAST
   static void trampoline(void* self);
   // Saved stack pointer (valid while the fiber is parked).

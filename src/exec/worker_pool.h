@@ -8,10 +8,10 @@
 // never depends on pool availability — a stream thread already running on
 // the pool's behalf can nest a parallel_for without deadlock.  Each
 // participant owns one slot for the duration of the call, so per-slot
-// scratch (e.g. a BlockRunner with its fibers and shared-memory arena)
-// needs no locking.  Exceptions are recorded with the index that raised
-// them and the lowest-index one is rethrown after the loop drains, so
-// error behaviour is deterministic regardless of thread interleaving.
+// scratch (e.g. a launch's trace lane buffers) needs no locking.
+// Exceptions are recorded with the index that raised them and the
+// lowest-index one is rethrown after the loop drains, so error behaviour is
+// deterministic regardless of thread interleaving.
 //
 // Scheduling is block-chunked work stealing: the index space is
 // pre-partitioned into one contiguous shard per slot, owners pop

@@ -1,10 +1,17 @@
 // Tests for the fiber engine and block runner: CUDA barrier semantics,
 // shared-memory arena layout, divergent-barrier detection, exception
-// propagation, fiber handoff, and lazy fiber claiming.  They exercise the
-// engine the build selected (exec/fiber.h): the fast switch in a plain
-// x86-64 build, ucontext under scripts/check_sanitize.sh / check_tsan.sh.
+// propagation, fiber handoff, lazy fiber claiming and the stack guard page.
+// They exercise the engine the build selected (exec/fiber.h): the fast
+// switch in a plain x86-64 build, ucontext under scripts/check_sanitize.sh /
+// check_tsan.sh.
 #include <gtest/gtest.h>
 
+#include <alloca.h>
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <csignal>
+#include <cstddef>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -152,6 +159,52 @@ TEST(Fiber, DeepStackSurvives) {
   });
   f.resume();
   EXPECT_EQ(result, 2001.0);
+}
+
+// ---- Guard page -------------------------------------------------------------
+
+// Claims `bytes` of fresh stack and touches it a page at a time from the top
+// down, the way a deepening call chain does, so a stack too small for it
+// reaches the guard page before anything mapped below.
+[[gnu::noinline]] void touch_stack(std::size_t bytes) {
+  auto* p = static_cast<volatile char*>(alloca(bytes));
+  for (std::size_t off = bytes; off > 0;
+       off -= std::min<std::size_t>(off, 4096))
+    p[off - 1] = 1;
+}
+
+void run_fiber_using(std::size_t bytes) {
+  Fiber f;
+  // Mapped after f, so usually right below it: without the guard page an
+  // overflow of f would land in this stack and go unnoticed.
+  Fiber neighbour;
+  f.start([bytes] { touch_stack(bytes); });
+  EXPECT_EQ(f.resume(), Fiber::State::kDone);
+}
+
+// A plain build dies of the signal itself; a sanitizer runtime catches it on
+// its alternate signal stack, reports it and exits non-zero.
+#if defined(G80_ASAN_FIBERS) || defined(G80_TSAN_FIBERS)
+bool died_of_segv(int status) {
+  return WIFEXITED(status) && WEXITSTATUS(status) != 0;
+}
+constexpr const char* kSegvReport = "SEGV|stack-overflow";
+#else
+bool died_of_segv(int status) {
+  return WIFSIGNALED(status) && WTERMSIG(status) == SIGSEGV;
+}
+constexpr const char* kSegvReport = "";
+#endif
+
+TEST(FiberDeathTest, OverflowHitsTheGuardPage) {
+  EXPECT_EXIT(run_fiber_using(Fiber::kStackBytes + 16 * 1024), died_of_segv,
+              kSegvReport);
+}
+
+TEST(Fiber, UsableStackIsTheFullSize) {
+  // Everything but a few KiB of the default stack; the guard page takes
+  // nothing from it.
+  run_fiber_using(Fiber::kStackBytes - 8 * 1024);
 }
 
 // ---- SharedArena ------------------------------------------------------------

@@ -4,13 +4,19 @@
 // kernels small enough to have hand-computable expectations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
+#include "exec/fiber.h"
+#include "trace_digest.h"
 
 namespace g80 {
 namespace {
@@ -485,6 +491,90 @@ TEST(LaunchStatus, SuccessfulLaunchLeavesStatusClean) {
   LaunchOptions opt;
   launch(dev, Dim3(4), Dim3(64), opt, FillIndexKernel{256}, out);
   EXPECT_EQ(dev.get_last_error(), Status::kSuccess);
+}
+
+// ---- Per-thread runner reuse ----------------------------------------------------
+
+// One 256-thread SharedReverseKernel launch, every thread parking once.
+struct ReverseRun {
+  std::vector<int> out;
+  std::uint64_t digest = 0;  // TraceSummary, modeled time, derived counters
+  std::uint64_t stacks_mapped = 0;  // fiber stacks this launch mapped
+};
+
+ReverseRun reverse_launch() {
+  Device dev;
+  const int n = 1024;
+  auto data = dev.alloc<int>(n);
+  auto out = dev.alloc<int>(n);
+  std::vector<int> host(n);
+  for (int i = 0; i < n; ++i) host[i] = 3 * i;
+  data.copy_from_host(host);
+  ReverseRun r;
+  const std::uint64_t before = Fiber::stacks_mapped();
+  const LaunchStats stats = launch(dev, Dim3(n / 256), Dim3(256),
+                                   LaunchOptions{}, SharedReverseKernel{},
+                                   data, out);
+  r.stacks_mapped = Fiber::stacks_mapped() - before;
+  r.out = out.copy_to_host();
+  r.digest = launch_digest(dev.spec(), stats, {});
+  return r;
+}
+
+void expect_reversed(const std::vector<int>& out) {
+  for (int i = 0; i < 1024; ++i)
+    ASSERT_EQ(out[i], 3 * ((i / 256) * 256 + 255 - i % 256)) << i;
+}
+
+TEST(LaunchReuse, SteadyStateLaunchMapsNoStacks) {
+  // Fresh threads start without a cached runner.
+  ReverseRun first, second, fresh;
+  std::thread([&] {
+    first = reverse_launch();
+    second = reverse_launch();
+  }).join();
+  std::thread([&] { fresh = reverse_launch(); }).join();
+
+  // All 256 threads park at once, so the first launch builds one fiber
+  // each; the second re-arms them.
+  EXPECT_EQ(first.stacks_mapped, 256u);
+  EXPECT_EQ(second.stacks_mapped, 0u);
+  EXPECT_EQ(fresh.stacks_mapped, 256u);
+  expect_reversed(first.out);
+  EXPECT_EQ(second.out, first.out);
+  EXPECT_EQ(fresh.out, first.out);
+  EXPECT_EQ(second.digest, first.digest);
+  EXPECT_EQ(fresh.digest, first.digest);
+}
+
+// Throws from block 1, after block 0 released its barrier to the observer.
+struct ThrowAfterBarrierKernel {
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<int>& out) const {
+    auto O = ctx.global(out);
+    auto S = ctx.template shared<int>(ctx.block_dim().x);
+    const int t = static_cast<int>(ctx.thread_idx().x);
+    S.st(t, t);
+    ctx.sync();
+    if (ctx.block_idx().x == 1) throw std::runtime_error("kernel failure");
+    O.st(ctx.global_thread_x(), S.ld(t));
+  }
+};
+
+TEST(LaunchReuse, SanitizedLaunchThatThrowsLeavesNoObserverBehind) {
+  Device dev;
+  auto out = dev.alloc<int>(128);
+  LaunchOptions san;
+  san.sample_blocks = 0;  // the sanitize pass is the first to run blocks
+  san.sanitize.enabled = true;
+  EXPECT_THROW(
+      launch(dev, Dim3(2), Dim3(64), san, ThrowAfterBarrierKernel{}, out),
+      StatusError);
+
+  // This thread's runner outlived that launch and its Sanitizer.  A barrier
+  // launch on it must not call the dead observer (ASan builds report a
+  // stack-use-after-scope if it does) and must produce correct results.
+  expect_reversed(reverse_launch().out);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
 #include "exec/worker_pool.h"
+#include "rt/runtime.h"
 
 namespace g80 {
 namespace {
@@ -203,6 +204,70 @@ TEST(ParallelLaunch, SuiteBitExactUnderAmbientPool) {
     EXPECT_EQ(seq.gpu_kernel_seconds, par.gpu_kernel_seconds) << name;
     EXPECT_EQ(seq.transfer_seconds, par.transfer_seconds) << name;
     expect_stats_identical(seq.representative, par.representative);
+  }
+}
+
+// ---- Streams sharing a pool --------------------------------------------------
+
+// Stages `words` ints through shared memory, so two instances with different
+// sizes have different __shared__ footprints.
+struct SharedFootprintKernel {
+  int words;
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<int>& out) const {
+    auto O = ctx.global(out);
+    auto S = ctx.template shared<int>(words);
+    const int t = static_cast<int>(ctx.thread_idx().x);
+    for (int w = t; w < words; w += static_cast<int>(ctx.block_dim().x))
+      S.st(w, w);
+    ctx.sync();
+    O.st(ctx.global_thread_x(), S.ld((t * 7) % words));
+  }
+};
+
+TEST(ParallelLaunch, StreamsSharingAPoolKeepTheirSharedFootprints) {
+  // Helper threads run both streams' blocks, one after the other, on their
+  // one cached runner: each launch must still report its own footprint.
+  constexpr int kBlocks = 32, kThreads = 64, kRounds = 50;
+  const SharedFootprintKernel small{256}, large{2048};  // 1 KiB and 8 KiB
+  Device dev;
+  rt::Runtime r(dev, {.workers = 4});
+  const rt::Stream sa = r.stream_create();
+  const rt::Stream sb = r.stream_create();
+  auto out_a = dev.alloc<int>(kBlocks * kThreads);
+  auto out_b = dev.alloc<int>(kBlocks * kThreads);
+  // Without a trace sample the footprint comes from the functional pass.
+  for (int samples : {4, 0}) {
+    LaunchOptions opt;
+    opt.sample_blocks = samples;
+    auto sequential = [&](const SharedFootprintKernel& k) {
+      Device seq_dev;
+      auto out = seq_dev.alloc<int>(kBlocks * kThreads);
+      return launch(seq_dev, Dim3(kBlocks), Dim3(kThreads), opt, k, out);
+    };
+    const LaunchStats want_a = sequential(small);
+    const LaunchStats want_b = sequential(large);
+    ASSERT_NE(want_a.smem_per_block, want_b.smem_per_block);
+    ASSERT_NE(want_a.occupancy.blocks_per_sm, want_b.occupancy.blocks_per_sm);
+
+    std::vector<LaunchStats> got_a(kRounds), got_b(kRounds);
+    for (int round = 0; round < kRounds; ++round) {
+      r.launch_async(sa, Dim3(kBlocks), Dim3(kThreads), opt, &got_a[round],
+                     small, out_a);
+      r.launch_async(sb, Dim3(kBlocks), Dim3(kThreads), opt, &got_b[round],
+                     large, out_b);
+    }
+    r.device_synchronize();
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto& [got, want] : {std::pair{&got_a[round], &want_a},
+                                      std::pair{&got_b[round], &want_b}}) {
+        EXPECT_EQ(got->smem_per_block, want->smem_per_block) << round;
+        EXPECT_EQ(got->occupancy.blocks_per_sm, want->occupancy.blocks_per_sm);
+        EXPECT_EQ(got->occupancy.active_warps_per_sm,
+                  want->occupancy.active_warps_per_sm);
+        EXPECT_EQ(got->occupancy.limiter, want->occupancy.limiter);
+      }
+    }
   }
 }
 
