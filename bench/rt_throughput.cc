@@ -16,12 +16,23 @@
 //    wall time is mostly fixed cost: p50 over 200 launches on one thread,
 //    and the fiber stacks each steady-state launch maps, gated at exactly 0
 //    (launches keep one BlockRunner per thread, fibers included).
+// 4. Barrier handoff — BlockRunner::run driven directly, as g80bench's exec
+//    panel does: 256 blocks x 256 threads x 64 barriers on one thread, with
+//    a body that does next to nothing between barriers, so the wall time is
+//    the fiber switch and the runner's barrier bookkeeping.  Like the tiled
+//    matmul, the body parks at two barrier sites in turn, so each thread
+//    resumes at a different site than the one its predecessor parked at;
+//    with one site a switch ending in `ret` is predicted right too, and the
+//    row would miss what the switch's branch costs (fiber_ctx.S).  The
+//    resume and barrier-generation counts are exact (gated by the
+//    baseline); ns per resume is a trend.
 //
 // Emits the standard g80bench-result document (bench/harness.h); wall-clock
 // metrics carry the `wall_` prefix so the regression checker skips them.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <numeric>
 #include <vector>
@@ -31,6 +42,7 @@
 #include "common/str.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
+#include "exec/block_runner.h"
 #include "exec/fiber.h"
 #include "exec/worker_pool.h"
 #include "prof/profiler.h"
@@ -226,6 +238,40 @@ int main(int argc, char** argv) {
     small_p50_us = us[kSmallLaunches / 2];
   }
 
+  // ---- Part 4: barrier handoff ----
+  constexpr int kHandoffBlocks = 256, kHandoffThreads = 256,
+                kHandoffBarriers = 64, kHandoffTrials = 5;
+  std::uint64_t handoff_resumes = 0, handoff_generations = 0;
+  double handoff_ns_per_resume = 0;
+  {
+    BlockRunner runner(kHandoffThreads, 16 * 1024);
+    std::vector<int> per_thread(kHandoffThreads);
+    const std::function<void(int)> body = [&](int tid) {
+      for (int k = 0; k < kHandoffBarriers / 2; ++k) {
+        per_thread[tid] += k;
+        runner.sync(tid);
+        per_thread[tid] ^= k;
+        runner.sync(tid);
+      }
+    };
+    runner.run(kHandoffThreads, body);  // warm-up: builds the fibers
+    std::vector<double> ns(kHandoffTrials);
+    for (double& t : ns) {
+      handoff_resumes = handoff_generations = 0;
+      const double t0 = now_seconds();
+      for (int b = 0; b < kHandoffBlocks; ++b) {
+        runner.run(kHandoffThreads, body);
+        const auto barriers =
+            static_cast<std::uint64_t>(runner.barriers_executed());
+        handoff_resumes += kHandoffThreads * (barriers + 1);
+        handoff_generations += barriers;
+      }
+      t = (now_seconds() - t0) * 1e9 / static_cast<double>(handoff_resumes);
+    }
+    std::nth_element(ns.begin(), ns.begin() + kHandoffTrials / 2, ns.end());
+    handoff_ns_per_resume = ns[kHandoffTrials / 2];
+  }
+
   // ---- Results ----
   bool all_identical = true;
   h.human() << "interpreter scalability, " << n << "x" << n << " matmul ("
@@ -293,6 +339,19 @@ int main(int argc, char** argv) {
     auto& row = h.result("small_launch");
     row.set("wall_p50_us", small_p50_us);
     row.set("stacks_mapped_per_launch", small_stacks_per_launch);
+  }
+
+  h.human() << "barrier handoff (" << kHandoffBlocks << " blocks x "
+            << kHandoffThreads << " threads x " << kHandoffBarriers
+            << " barriers, one thread): " << handoff_resumes << " resumes, "
+            << handoff_generations << " barrier generations, p50 "
+            << fixed(handoff_ns_per_resume, 1) << " ns per resume over "
+            << kHandoffTrials << " trials\n";
+  {
+    auto& row = h.result("barrier_handoff");
+    row.set("resumes", static_cast<double>(handoff_resumes));
+    row.set("barrier_generations", static_cast<double>(handoff_generations));
+    row.set("wall_ns_per_resume", handoff_ns_per_resume);
   }
 
   Device spec_dev;

@@ -18,6 +18,17 @@ build="${1:-$repo/build-sanitize}"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Sanitize
 cmake --build "$build" -j "$(nproc)"
 
+# This build exists to cover the ucontext engine.  A configuration that lost
+# its -fsanitize flags (a stale CMake cache once did) compiles the fast
+# switch instead and would pass without covering it, so check the object.
+fiber_obj="$build/src/exec/CMakeFiles/g80_exec.dir/fiber.cc.o"
+fiber_syms="$(nm -u "$fiber_obj")"
+if ! grep -qw swapcontext <<<"$fiber_syms" || grep -qw g80_ctx_swap <<<"$fiber_syms"; then
+  echo "sanitize: $fiber_obj does not use the ucontext fiber engine;" \
+    "is -fsanitize missing from the build flags?" >&2
+  exit 1
+fi
+
 # detect_leaks: the simulator intentionally abandons fiber stacks when a
 # kernel thread throws (fail-fast contract, see docs/error-handling.md);
 # those are reachable at exit, so only report definite leaks.

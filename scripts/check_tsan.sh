@@ -33,6 +33,17 @@ cmake --build "$build" -j "$(nproc)" --target rt_stream_test rt_parallel_launch_
   serve_server_test serve_isolation_test serve_cache_test exec_test exec_fastpath_test trace_batch_test \
   trace_oracle_test obs_metrics_test obs_trace_test invariant_fuzz_test
 
+# This build exists to cover the ucontext engine.  A configuration that lost
+# its -fsanitize flags (a stale CMake cache once did) compiles the fast
+# switch instead and would pass without covering it, so check the object.
+fiber_obj="$build/src/exec/CMakeFiles/g80_exec.dir/fiber.cc.o"
+fiber_syms="$(nm -u "$fiber_obj")"
+if ! grep -qw swapcontext <<<"$fiber_syms" || grep -qw g80_ctx_swap <<<"$fiber_syms"; then
+  echo "tsan: $fiber_obj does not use the ucontext fiber engine;" \
+    "is -fsanitize missing from the build flags?" >&2
+  exit 1
+fi
+
 # second_deadlock_stack: show both lock orders on any lock-inversion report.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
 

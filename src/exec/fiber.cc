@@ -190,7 +190,7 @@ void Fiber::arm() {
   pending_exception_ = nullptr;
 #if G80_FIBER_FAST
   // Build the initial frame g80_ctx_swap will restore; the layout contract
-  // lives at the top of fiber_ctx.S.  Arming is just ~64 bytes of stores —
+  // lives at the top of fiber_ctx.S.  Arming is just 56 bytes of stores —
   // no syscall, no allocation — so it is cheap enough to do per block.
   char* top = stack_ + stack_bytes_;
   top -= reinterpret_cast<std::uintptr_t>(top) & 15;  // 16-byte align
@@ -204,13 +204,7 @@ void Fiber::arm() {
   put(40, reinterpret_cast<std::uint64_t>(&Fiber::trampoline));  // r13
   put(48, 0);  // r14
   put(56, 0);  // r15
-  // Seed the fiber's FP control state from the arming thread's.
-  std::uint32_t mxcsr = 0;
-  std::uint16_t fcw = 0;
-  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
-  std::memcpy(top - 64, &mxcsr, sizeof mxcsr);
-  std::memcpy(top - 60, &fcw, sizeof fcw);
-  sp_ = top - 64;
+  sp_ = top - 56;
 #else
   // A fresh TSan context per arming: an abandoned run's happens-before
   // state must not leak into the next kernel on this reused stack.

@@ -16,9 +16,10 @@
 // no run-time choice:
 //
 //  - fast (G80_FIBER_FAST == 1): a hand-rolled x86-64 stack switch
-//    (fiber_ctx.S) that swaps only the callee-saved registers and FP control
-//    words.  A resume + yield round trip is ~40-50 ns on a 4-core x86-64
-//    host.  Every non-sanitized x86-64 build uses it.
+//    (fiber_ctx.S) that swaps only the callee-saved registers and ends in an
+//    indirect jmp the branch predictor can follow.  A resume + yield round
+//    trip is ~25-30 ns on a 4-core x86-64 host.  Every non-sanitized
+//    x86-64 build uses it.
 //  - ucontext (G80_FIBER_FAST == 0): glibc swapcontext, which performs an
 //    rt_sigprocmask syscall per switch (~300 ns + syscall).  ASan/TSan
 //    builds use it — only this engine carries the sanitizer fiber
@@ -28,6 +29,17 @@
 // exception propagation, barrier counts): the same test suite, golden trace
 // digests included, passes in a plain x86-64 build (fast) and under
 // scripts/check_sanitize.sh and scripts/check_tsan.sh (ucontext).
+//
+// FP control state (rounding mode, flush-to-zero, exception masks) is the
+// OS thread's, not the fiber's: the fast engine does not switch it.  A body
+// runs in the state its scheduler's thread is in, and a body that changes
+// it changes it for that thread, as a plain function call would; the
+// scheduler and the fibers it runs next see the change.  Both engines
+// guarantee only this: a body sees the state the scheduler's thread had
+// when it armed and resumed the fiber, if nothing changed it in between
+// (Fiber.BodySeesTheSchedulersFpControlState).  The ucontext engine saves
+// and restores the state with each context, so the two differ once a body
+// changes it mid-run; no kernel or host code here does.
 //
 // Each stack is an anonymous mmap region, never zero-filled by us, so a
 // fiber costs resident memory only for the pages its bodies touch.  A

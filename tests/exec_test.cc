@@ -1,15 +1,22 @@
 // Tests for the fiber engine and block runner: CUDA barrier semantics,
 // shared-memory arena layout, divergent-barrier detection, exception
-// propagation, fiber handoff, lazy fiber claiming and the stack guard page.
+// propagation, fiber handoff, lazy fiber claiming, the stack guard page,
+// the FP control state a body sees, and unwinding from inside a body.
 // They exercise the engine the build selected (exec/fiber.h): the fast
 // switch in a plain x86-64 build, ucontext under scripts/check_sanitize.sh /
 // check_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <alloca.h>
+#include <execinfo.h>
 #include <sys/wait.h>
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 #include <algorithm>
+#include <cfenv>
+#include <cfloat>
 #include <csignal>
 #include <cstddef>
 #include <numeric>
@@ -159,6 +166,93 @@ TEST(Fiber, DeepStackSurvives) {
   });
   f.resume();
   EXPECT_EQ(result, 2001.0);
+}
+
+// Runs `probe` inside fiber bodies at each way control can arrive there: a
+// first entry from the scheduler, a resume after a yield, a first entry by
+// handoff, and a handoff back.  Returns what it saw, in that order.
+template <class Probe>
+auto probe_each_arrival(Probe probe) {
+  std::vector<decltype(probe())> seen;
+  Fiber a(64 * 1024), b(64 * 1024);
+  a.start([&] {
+    seen.push_back(probe());
+    a.yield();
+    seen.push_back(probe());
+    a.yield_to(b);
+    seen.push_back(probe());
+  });
+  b.start([&] {
+    seen.push_back(probe());
+    b.yield_to(a);
+  });
+  EXPECT_EQ(a.resume(), Fiber::State::kSuspended);
+  EXPECT_EQ(a.resume(), Fiber::State::kDone);
+  return seen;
+}
+
+#if defined(__x86_64__)
+// ---- FP control state -------------------------------------------------------
+
+constexpr unsigned kMxcsrRoundMask = 0x6000, kMxcsrRoundUp = 0x4000;
+constexpr unsigned kMxcsrFlushToZero = 0x8000;
+
+// Puts the calling thread in round-upward + flush-to-zero mode for its
+// lifetime, then restores the thread's previous FP environment.
+struct UpwardFlushToZero {
+  std::fenv_t saved_env{};
+  unsigned saved_mxcsr = _mm_getcsr();
+  UpwardFlushToZero() {
+    std::fegetenv(&saved_env);
+    std::fesetround(FE_UPWARD);
+    _mm_setcsr(_mm_getcsr() | kMxcsrFlushToZero);
+  }
+  ~UpwardFlushToZero() {
+    std::fesetenv(&saved_env);
+    _mm_setcsr(saved_mxcsr);
+  }
+};
+
+// What the running code sees: the x87 rounding mode, the SSE rounding mode
+// and FTZ bit, and SSE arithmetic that obeys them: rounding upward makes 1/3
+// larger in magnitude than -1/3, and FTZ flushes a denormal quotient to 0.
+bool sees_upward_flush_to_zero() {
+  volatile float one = 1.0f, minus_one = -1.0f, three = 3.0f;
+  volatile float tiny = FLT_MIN;
+  const unsigned mxcsr = _mm_getcsr();
+  return std::fegetround() == FE_UPWARD &&
+         (mxcsr & kMxcsrRoundMask) == kMxcsrRoundUp &&
+         (mxcsr & kMxcsrFlushToZero) != 0 &&
+         one / three > -(minus_one / three) && tiny / three == 0.0f;
+}
+
+TEST(Fiber, BodySeesTheSchedulersFpControlState) {
+  UpwardFlushToZero mode;  // set by the scheduler before arming
+  ASSERT_TRUE(sees_upward_flush_to_zero());
+  EXPECT_EQ(probe_each_arrival(sees_upward_flush_to_zero),
+            std::vector<bool>(4, true));
+  EXPECT_TRUE(sees_upward_flush_to_zero());  // and the scheduler still does
+}
+#endif  // __x86_64__
+
+// ---- Unwinding --------------------------------------------------------------
+
+// Frames glibc's unwinder finds from here down to the base of the stack.
+[[gnu::noinline]] int stack_depth() {
+  void* frames[256];
+  return backtrace(frames, 256);
+}
+
+TEST(Fiber, BacktraceInsideABodyEndsAtTheFiberBase) {
+  const std::vector<int> depths = probe_each_arrival(stack_depth);
+  ASSERT_EQ(depths.size(), 4u);
+  // The unwind stops at the fiber's entry thunk, a handful of frames below
+  // the body, never wandering into the scheduler's stack or garbage.
+  for (int d : depths) {
+    EXPECT_GT(d, 0);
+    EXPECT_LT(d, 16);
+  }
+  EXPECT_EQ(std::count(depths.begin(), depths.end(), depths[0]), 4);
 }
 
 // ---- Guard page -------------------------------------------------------------
