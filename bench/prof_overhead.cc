@@ -131,11 +131,11 @@ int main(int argc, char** argv) {
   rt::Stream s1 = r.stream_create();
 
   LaunchOptions opt;
-  opt.prof.kernel_name = "scale2";
+  opt.kernel_name = "scale2";
   r.memcpy_h2d_async(s0, d0, host);
   r.launch_async(s0, Dim3(m / 256), Dim3(256), opt, nullptr,
                  ScaleKernel{2.0f}, d0, o0);
-  opt.prof.kernel_name = "scale3";
+  opt.kernel_name = "scale3";
   r.memcpy_h2d_async(s1, d1, host);
   r.launch_async(s1, Dim3(m / 256), Dim3(256), opt, nullptr,
                  ScaleKernel{3.0f}, d1, o1);

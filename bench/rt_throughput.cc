@@ -152,11 +152,10 @@ int main(int argc, char** argv) {
     opt.regs_per_thread = 9;
     opt.functional = false;  // isolate the traced pipeline
     opt.sample_blocks = 64;
-    opt.prof.sink = &p;
-    opt.prof.kernel_name = "matmul_traced";
     const double t0 = now_seconds();
     traced_stats = launch(dev, Dim3(n / tile, n / tile), Dim3(tile, tile), opt,
                           kernel, a, b, c);
+    p.record_launch("matmul_traced", dev.spec(), traced_stats);
     traced_seconds = now_seconds() - t0;
     traced_digest = launch_digest(dev.spec(), traced_stats, {});
   }

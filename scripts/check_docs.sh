@@ -4,7 +4,10 @@
 #   1. every relative markdown link in README.md and docs/*.md resolves to
 #      an existing file (anchors stripped; external schemes skipped), and
 #   2. every `./build/bench/<target>` command in README.md or any docs/*.md
-#      names a bench target that actually exists in bench/CMakeLists.txt.
+#      names a bench target that actually exists in bench/CMakeLists.txt, and
+#   3. every `opt.<field>` in README.md or docs/*.md, and every
+#      `LaunchOptions::<field>` there or in src/**/*.h, names a field
+#      declared in `struct LaunchOptions` (src/cudalite/launch.h).
 #
 # Usage: scripts/check_docs.sh    (from anywhere; paths resolve to the repo)
 set -euo pipefail
@@ -47,8 +50,38 @@ for doc in "$repo"/README.md "$repo"/docs/*.md; do
            | sed 's|\./build/bench/||' | sort -u)
 done
 
+# --- 3. documented LaunchOptions fields exist ----------------------------------
+# Member declarations of the struct: comment lines dropped, then the name
+# before the optional default and the semicolon.
+fields="$(sed -n '/^struct LaunchOptions {/,/^};/p' \
+            "$repo/src/cudalite/launch.h" \
+          | grep -Ev '^[[:space:]]*//' \
+          | grep -E '^[[:space:]]+[A-Za-z].*[[:space:]*&][a-z_][a-z0-9_]*( = [^;]*)?;$' \
+          | sed -E 's/( = [^;]*)?;$//; s/.*[[:space:]*&]//')"
+if [ -z "$fields" ]; then
+  echo "NO FIELDS: found no member of struct LaunchOptions in src/cudalite/launch.h"
+  fail=1
+fi
+check_fields() {  # $1 = file, $2 = extended regex ending in the field name
+  local file="$1" pattern="$2" field
+  while IFS= read -r field; do
+    if ! grep -qx "$field" <<<"$fields"; then
+      echo "UNKNOWN FIELD: ${file#"$repo"/} names LaunchOptions field" \
+           "'$field', which struct LaunchOptions does not declare"
+      fail=1
+    fi
+  done < <(grep -oE "$pattern" "$file" | sed -E 's/.*(opt\.|::)//' | sort -u)
+}
+for doc in "$repo"/README.md "$repo"/docs/*.md; do
+  check_fields "$doc" '(^|[^A-Za-z0-9_.])opt\.[a-z_][a-z0-9_]*'
+  check_fields "$doc" 'LaunchOptions::[a-z_][a-z0-9_]*'
+done
+while IFS= read -r header; do
+  check_fields "$header" 'LaunchOptions::[a-z_][a-z0-9_]*'
+done < <(find "$repo/src" -name '*.h' -type f | sort)
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: all documentation links and bench targets resolve"
+echo "check_docs: all documentation links, bench targets and LaunchOptions fields resolve"

@@ -6,6 +6,8 @@
 #include "common/stats.h"
 #include "common/str.h"
 #include "core/cpu_calibration.h"
+#include "prof/profiler.h"
+#include "scope/session.h"
 
 namespace g80::apps {
 
@@ -73,9 +75,13 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
   LaunchOptions opt;
   opt.regs_per_thread = cfg.regs_per_thread();
   opt.functional = functional;
-  opt.prof.sink = profiler;
-  opt.scope.sink = scope;
-  if (profiler != nullptr || scope != nullptr) opt.prof.kernel_name = cfg.name();
+  // The sinks read the finished launch under the variant's name.
+  const auto record = [&](LaunchStats stats) {
+    if (profiler != nullptr)
+      profiler->record_launch(cfg.name(), dev.spec(), stats);
+    if (scope != nullptr) scope->record_launch(cfg.name(), dev.spec(), stats);
+    return stats;
+  };
 
   if (cfg.variant == MatmulVariant::kNaive ||
       cfg.variant == MatmulVariant::kNaiveUnrolled) {
@@ -83,7 +89,7 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
     const Dim3 block(16, 16);
     const Dim3 grid(static_cast<unsigned>(n / 16), static_cast<unsigned>(n / 16));
     const MatmulNaiveKernel k{n, cfg.variant == MatmulVariant::kNaiveUnrolled};
-    return launch(dev, grid, block, opt, k, a, b, c);
+    return record(launch(dev, grid, block, opt, k, a, b, c));
   }
 
   G80_CHECK_MSG(n % cfg.tile == 0,
@@ -95,8 +101,8 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
                      static_cast<unsigned>(cfg.tile / 2));
     const Dim3 grid(static_cast<unsigned>(n / cfg.tile),
                     static_cast<unsigned>(n / cfg.tile));
-    return launch(dev, grid, block, opt, MatmulRegTiledKernel{n, cfg.tile}, a,
-                  b, c);
+    return record(launch(dev, grid, block, opt,
+                         MatmulRegTiledKernel{n, cfg.tile}, a, b, c));
   }
   const Dim3 block(static_cast<unsigned>(cfg.tile), static_cast<unsigned>(cfg.tile));
   const Dim3 grid(static_cast<unsigned>(n / cfg.tile),
@@ -104,7 +110,7 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
   const MatmulTiledKernel k{n, cfg.tile,
                             cfg.variant != MatmulVariant::kTiled,
                             cfg.variant == MatmulVariant::kPrefetch};
-  return launch(dev, grid, block, opt, k, a, b, c);
+  return record(launch(dev, grid, block, opt, k, a, b, c));
 }
 
 AppInfo MatmulApp::info() const {

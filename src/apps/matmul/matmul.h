@@ -199,10 +199,21 @@ struct MatmulRegTiledKernel {
   }
 };
 
+}  // namespace g80::apps
+
+namespace g80::prof {
+class Profiler;
+}
+namespace g80::scope {
+class Session;
+}
+
+namespace g80::apps {
+
 // Launches the configured variant over n x n matrices already on the device.
-// When `profiler` is non-null the launch reports its counters to it under
-// the variant's `cfg.name()`; when `scope` is non-null the launch likewise
-// records its g80scope time series there.
+// When `profiler` is non-null the finished launch is recorded into it under
+// the variant's `cfg.name()`; when `scope` is non-null its g80scope time
+// series is likewise recorded there.
 LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
                        DeviceBuffer<float>& a, DeviceBuffer<float>& b,
                        DeviceBuffer<float>& c, bool functional,

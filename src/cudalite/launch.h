@@ -22,6 +22,13 @@
 // For very large grids (the 4096x4096 matmul of §4) callers disable the
 // functional pass and rely on the trace sample for timing; functional
 // correctness is established separately at smaller sizes by the test suite.
+//
+// A launch reports through what it returns.  g80prof and g80scope derive
+// everything from the finished LaunchStats, so whoever holds a profiler or
+// scope session records into it after the launch returns
+// (prof::Profiler::record_launch, scope::Session::record_launch); cudalite
+// knows neither.  The one thing reported while the launch runs is its
+// g80resil attempts, to LaunchOptions::attempts.
 #pragma once
 
 #include <algorithm>
@@ -52,59 +59,6 @@ namespace g80 {
 // Ctx instantiation for the g80check sanitize pass.
 using SanitizeCtx = Ctx<SanitizerRecorder>;
 
-struct LaunchStats;
-
-// g80prof hook.  The Profiler type and the out-of-line recording bridge live
-// in src/prof (prof/profiler.h); only declarations appear here so cudalite
-// keeps no header dependency on the profiler layer.
-namespace prof {
-class Profiler;
-namespace detail {
-void record_launch(Profiler& sink, const std::string& kernel_name,
-                   std::uint64_t stream, const DeviceSpec& spec,
-                   const LaunchStats& stats);
-}  // namespace detail
-}  // namespace prof
-
-// g80scope hook, same pattern: the Session type and its bridge live in
-// src/scope (scope/session.h).  Returns the session-assigned record id.
-namespace scope {
-class Session;
-namespace detail {
-std::uint64_t record_launch(Session& sink, const std::string& kernel_name,
-                            std::uint64_t stream, const DeviceSpec& spec,
-                            const LaunchStats& stats);
-}  // namespace detail
-}  // namespace scope
-
-// Opt-in per-launch profiling (g80prof).  Zero-cost when `sink` is null:
-// the launch executes exactly the same passes either way — counters are
-// derived after the fact from the trace pass's statistics, never measured
-// in the functional pass — so kernel outputs and LaunchStats stay
-// bit-identical with profiling on or off (bench/prof_overhead.cc asserts
-// this).
-struct ProfileOptions {
-  prof::Profiler* sink = nullptr;  // enabled iff non-null
-  // Aggregation key in the profiler's per-kernel tables ("" -> "kernel").
-  std::string kernel_name;
-  // Issuing g80rt stream id; filled by Runtime::launch_async.
-  std::uint64_t stream = 0;
-};
-
-// Opt-in per-launch time-series derivation (g80scope).  Like ProfileOptions
-// this is zero-cost when `sink` is null and cannot perturb results when it
-// is not: the series is derived after all passes complete, from the same
-// trace statistics the timing model already consumed
-// (bench/scope_overhead.cc asserts bit-identical outputs either way).
-// The kernel name and stream id are taken from ProfileOptions so a launch
-// profiled and scoped at once aggregates under one name.
-struct ScopeOptions {
-  scope::Session* sink = nullptr;  // enabled iff non-null
-  // When set, receives the session-assigned record id; g80rt uses it to
-  // stamp the launch's timeline span for the Chrome-trace counter tracks.
-  std::uint64_t* id_out = nullptr;
-};
-
 struct LaunchOptions {
   // Registers per thread, as the CUDA 0.8 compiler would report (cubin
   // metadata).  The paper's kernels state these; our kernels carry the
@@ -124,10 +78,10 @@ struct LaunchOptions {
   // (plus deterministic fault injection).  Adds one extra pass over the
   // grid; launches with `enabled == false` execute exactly the seed paths.
   SanitizerOptions sanitize;
-  // g80prof: opt-in per-launch counter collection into a session profiler.
-  ProfileOptions prof;
-  // g80scope: opt-in per-launch time-series derivation into a scope session.
-  ScopeOptions scope;
+  // The name the launch's owner reports it under: g80rt labels the timeline
+  // span with it and keys the runtime's profiler and scope session by it
+  // ("" -> "kernel").  The launch itself never reads it.
+  std::string kernel_name;
   // g80rt block scheduling: run the trace and functional passes' independent
   // blocks across this pool's workers.  nullptr falls back to the ambient
   // pool (set_ambient_launch_pool / ScopedLaunchPool), and with neither the
@@ -141,6 +95,10 @@ struct LaunchOptions {
   // graceful degradation (see resil/policy.h and docs/error-handling.md).
   // Disabled launches execute exactly the pre-resil path.
   ResiliencePolicy resilience;
+  // g80resil: receives this launch's attempt events (start, failure,
+  // success) on the launching thread; null = none.  Observation never
+  // changes what the launch runs or traces.
+  AttemptObserver* attempts = nullptr;
 };
 
 // Ambient default worker pool, consulted when LaunchOptions::pool is null.
@@ -276,10 +234,11 @@ namespace detail {
 //   level 1  block parallelism abandoned (sequential blocks on the caller,
 //            sidestepping a starved or wedged worker pool);
 //   level 2  additionally no sanitize pass and a trace sample of at most
-//            one block: one when an observer (sanitizer, profiler, scope
-//            session) or the modeled watchdog needs a trace, none otherwise
-//            — the minimum machinery that still yields correct kernel
-//            outputs.
+//            one block: one when sanitizing was requested or the modeled
+//            watchdog needs a trace, none otherwise — the minimum machinery
+//            that still yields correct kernel outputs.  A caller that
+//            profiles or scopes the returned stats gets the empty trace of
+//            a sample-free launch.
 // Kernel outputs are bit-identical across levels (block scheduling never
 // changes results — the seed invariant); only trace/timing fidelity and
 // validation coverage degrade.
@@ -346,14 +305,13 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   const bool sanitize_enabled =
       att.fallback_level < 2 && opt.sanitize.enabled;
   // The sample count alone decides what the launch traces.  Level 2 keeps
-  // one block for an attached observer and none otherwise; an armed modeled
-  // watchdog always keeps at least one, so it sees a modeled time.
-  const bool observed = opt.sanitize.enabled || opt.prof.sink != nullptr ||
-                        opt.scope.sink != nullptr;
+  // one block when sanitizing was requested and none otherwise; an armed
+  // modeled watchdog always keeps at least one, so it sees a modeled time.
   const bool modeled_watchdog =
       opt.resilience.enabled && opt.resilience.modeled_timeout_s > 0;
-  int sample_blocks =
-      att.fallback_level >= 2 ? (observed ? 1 : 0) : opt.sample_blocks;
+  int sample_blocks = att.fallback_level >= 2
+                          ? (opt.sanitize.enabled ? 1 : 0)
+                          : opt.sample_blocks;
   if (modeled_watchdog) sample_blocks = std::max(sample_blocks, 1);
   const CancelToken* cancel = att.cancel;
   const int slots =
@@ -511,36 +469,20 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   // Every attempt starts from fresh stats (blocks are idempotent, so a
   // partial failed attempt leaves nothing that needs undoing); the final
   // attempt's stats — plus the accumulated resilience history — survive.
-  run_resilient(opt.resilience, stats.resilience,
-                [&](const AttemptConfig& att) {
-                  stats = LaunchStats{};
-                  detail::launch_impl(dev, grid, block, opt, att, stats,
-                                      kernel, args...);
-                });
+  run_resilient(
+      opt.resilience, stats.resilience,
+      [&](const AttemptConfig& att) {
+        stats = LaunchStats{};
+        detail::launch_impl(dev, grid, block, opt, att, stats, kernel,
+                            args...);
+      },
+      opt.attempts);
   // A launch that survived only through retries records the informational
   // kRecovered sticky status (last-writer-wins, like the CUDA runtime's
   // error slot), overwriting the transient failures of earlier attempts so
   // hosts polling get_last_error() see recovery rather than a stale error.
   if (stats.resilience.recovered) {
     dev.record_status(Status::kRecovered);
-  }
-  // ---- g80prof ----
-  // Counter derivation happens here, after every pass (and every resilience
-  // attempt) completed, from the trace statistics computed above — the
-  // functional path never sees the profiler, and a retried launch records
-  // once, with its recovery provenance attached.
-  if (opt.prof.sink != nullptr) {
-    prof::detail::record_launch(*opt.prof.sink, opt.prof.kernel_name,
-                                opt.prof.stream, dev.spec(), stats);
-  }
-  // ---- g80scope ----
-  // Same contract: the time series is derived from the already-computed
-  // trace statistics, never measured during a pass.
-  if (opt.scope.sink != nullptr) {
-    const std::uint64_t id =
-        scope::detail::record_launch(*opt.scope.sink, opt.prof.kernel_name,
-                                     opt.prof.stream, dev.spec(), stats);
-    if (opt.scope.id_out != nullptr) *opt.scope.id_out = id;
   }
   return stats;
 }

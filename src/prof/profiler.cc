@@ -5,6 +5,7 @@ namespace g80::prof {
 void Profiler::record_launch(std::string_view kernel_name,
                              const DeviceSpec& spec, const LaunchStats& stats,
                              std::uint64_t /*stream*/) {
+  if (kernel_name.empty()) kernel_name = "kernel";
   const KernelCounters c = derive_counters(spec, stats);
   std::lock_guard<std::mutex> lk(mu_);
   KernelProfile* p = nullptr;
@@ -72,17 +73,5 @@ void Profiler::clear() {
   kernels_.clear();
   transfers_ = TransferTotals{};
 }
-
-// Out-of-line bridge for the launch() template (declared in
-// cudalite/launch.h): lets cudalite record into an attached profiler
-// without a header dependency on src/prof.
-namespace detail {
-void record_launch(Profiler& sink, const std::string& kernel_name,
-                   std::uint64_t stream, const DeviceSpec& spec,
-                   const LaunchStats& stats) {
-  sink.record_launch(kernel_name.empty() ? "kernel" : kernel_name, spec,
-                     stats, stream);
-}
-}  // namespace detail
 
 }  // namespace g80::prof

@@ -1,15 +1,14 @@
 // g80prof — a CUDA-Visual-Profiler-style session profiler.
 //
-// A Profiler is a session-scoped sink: attach it to launches via
-// `LaunchOptions::prof.sink` (or to a whole g80rt runtime via
-// `RuntimeOptions::profiler`) and it accumulates per-kernel counter
-// profiles and host<->device transfer totals across every launch and
-// stream that reports to it.  Recording happens once per launch, *after*
-// the launch's passes complete, from statistics the trace pass produced
-// anyway — so a launch with no sink attached executes exactly the same
-// instructions as before the profiler existed, and a launch with a sink
-// attached produces bit-identical kernel outputs (bench/prof_overhead.cc
-// asserts both).
+// A Profiler is a session-scoped sink: record a finished launch into it with
+// `record_launch(name, dev.spec(), launch(...))` (or attach it to a whole
+// g80rt runtime via `RuntimeOptions::profiler`) and it accumulates
+// per-kernel counter profiles and host<->device transfer totals across
+// every launch and stream that reports to it.  Recording happens once per
+// launch, *after* it returns, from statistics the trace pass produced
+// anyway — the launch never sees the profiler, so a profiled launch
+// produces bit-identical kernel outputs (bench/prof_overhead.cc asserts
+// this).
 //
 // Thread safety: g80rt streams record concurrently from their host
 // threads; all mutation is mutex-guarded.  Aggregation is keyed by kernel
@@ -62,6 +61,7 @@ struct TransferTotals {
 
 class Profiler {
  public:
+  // Aggregates one finished launch under `kernel_name` ("" -> "kernel").
   void record_launch(std::string_view kernel_name, const DeviceSpec& spec,
                      const LaunchStats& stats, std::uint64_t stream = 0);
   void record_transfer(bool h2d, std::uint64_t bytes, double modeled_seconds,

@@ -32,8 +32,8 @@ namespace g80 {
 
 // Highest graceful-degradation level (see AttemptConfig::fallback_level):
 // 0 = as requested, 1 = sequential blocks, 2 = sequential, sanitize pass
-// skipped, and a trace sample of one block when an observer or the modeled
-// watchdog needs it, none otherwise (see detail::launch_impl).
+// skipped, and a trace sample of one block when sanitizing was requested or
+// the modeled watchdog needs it, none otherwise (see detail::launch_impl).
 inline constexpr int kMaxFallbackLevel = 2;
 
 struct ResiliencePolicy {

@@ -32,25 +32,9 @@ Watchdog::~Watchdog() {
   thread_.join();
 }
 
-namespace {
-// The calling thread's attempt observer; run_resilient executes attempts on
-// the caller's thread, so thread-local scoping attributes every attempt to
-// the request that thread is serving.
-thread_local AttemptObserver* t_attempt_observer = nullptr;
-}  // namespace
-
-ScopedAttemptObserver::ScopedAttemptObserver(AttemptObserver* obs)
-    : prev_(t_attempt_observer) {
-  t_attempt_observer = obs;
-}
-
-ScopedAttemptObserver::~ScopedAttemptObserver() {
-  t_attempt_observer = prev_;
-}
-
 void run_resilient(const ResiliencePolicy& policy, ResilienceStats& out,
-                   const std::function<void(const AttemptConfig&)>& attempt) {
-  AttemptObserver* obs = t_attempt_observer;
+                   const std::function<void(const AttemptConfig&)>& attempt,
+                   AttemptObserver* obs) {
   if (!policy.enabled) {
     // The disabled path still reports its single attempt: a trace should
     // show one attempt whether or not the retry machinery is armed.

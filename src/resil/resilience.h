@@ -50,13 +50,12 @@ class Watchdog {
   std::thread thread_;
 };
 
-// Observer of the retry driver's attempt lifecycle.  run_resilient runs on
-// the calling thread, so an observer installed for the current thread (see
-// ScopedAttemptObserver) sees exactly the attempts of the launch that thread
-// is executing — which is how g80obs routes per-attempt events into the
-// owning request's trace without this layer knowing anything about serving.
-// Callbacks fire on the launching thread, inline with the retry loop; they
-// must not throw.
+// Observer of the retry driver's attempt lifecycle, passed explicitly to
+// run_resilient (cudalite: LaunchOptions::attempts), so it sees exactly the
+// attempts of the launch it was handed to — which is how g80obs routes
+// per-attempt events into the owning request's trace without this layer
+// knowing anything about serving.  Callbacks fire on the launching thread,
+// inline with the retry loop; they must not throw.
 class AttemptObserver {
  public:
   virtual ~AttemptObserver() = default;
@@ -71,31 +70,19 @@ class AttemptObserver {
   virtual void on_attempt_success(int attempt, bool recovered) {}
 };
 
-// Installs `obs` as the calling thread's attempt observer for the scope's
-// lifetime, restoring the previous observer (nesting-safe) on destruction.
-// Null deactivates observation for the scope.
-class ScopedAttemptObserver {
- public:
-  explicit ScopedAttemptObserver(AttemptObserver* obs);
-  ~ScopedAttemptObserver();
-  ScopedAttemptObserver(const ScopedAttemptObserver&) = delete;
-  ScopedAttemptObserver& operator=(const ScopedAttemptObserver&) = delete;
-
- private:
-  AttemptObserver* prev_;
-};
-
 // Runs `attempt` under the policy: each attempt gets a fresh CancelToken
 // (watchdog-armed when wall_timeout_s > 0); a thrown StatusError is
 // classified (classify_fault) and transient failures are retried — with
 // exponential backoff and, when allowed, an escalated fallback level — up
 // to max_retries times.  Permanent failures and exhausted budgets rethrow
 // the final attempt's exception.  `out` receives the full attempt history
-// whether the launch ultimately succeeded or not.
+// whether the launch ultimately succeeded or not.  `observer` (null = none)
+// hears every attempt, the disabled path's single one included.
 //
 // With `policy.enabled == false` the body runs exactly once, with no token,
 // no watchdog, and no try/catch re-dispatch — the seed launch path.
 void run_resilient(const ResiliencePolicy& policy, ResilienceStats& out,
-                   const std::function<void(const AttemptConfig&)>& attempt);
+                   const std::function<void(const AttemptConfig&)>& attempt,
+                   AttemptObserver* observer = nullptr);
 
 }  // namespace g80

@@ -50,6 +50,7 @@
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
 #include "prof/profiler.h"
+#include "scope/session.h"
 #include "timing/timeline.h"
 
 namespace g80::rt {
@@ -76,7 +77,7 @@ struct RuntimeOptions {
   int workers = 0;
   // g80prof: when set, every launch and async copy on every stream of this
   // runtime records into the profiler (kernels keyed by
-  // LaunchOptions::prof.kernel_name, transfers into the transfer totals),
+  // LaunchOptions::kernel_name, transfers into the transfer totals),
   // and kernel timeline spans carry per-wave block spans for the Chrome
   // trace.  Null = no profiling, zero additional work per op.
   prof::Profiler* profiler = nullptr;
@@ -188,19 +189,19 @@ class Runtime {
   // Asynchronous kernel launch.  Buffers in `args` must stay alive until
   // the stream synchronizes.  `stats_out` (optional) is filled when the
   // launch completes — read it only after synchronizing.  Unless the caller
-  // supplied an explicit pool, blocks fan out across this runtime's pool;
-  // unless the caller attached an explicit profiler sink, the runtime's
-  // profiler (RuntimeOptions::profiler) receives the launch, keyed by
-  // LaunchOptions::prof.kernel_name and tagged with this stream's id.
+  // supplied an explicit pool, blocks fan out across this runtime's pool.
+  // The finished launch is recorded into the runtime's profiler and scope
+  // session (when set), keyed by LaunchOptions::kernel_name and tagged with
+  // this stream's id.
   template <class Kernel, class... Args>
   void launch_async(Stream s, Dim3 grid, Dim3 block, LaunchOptions opt,
                     LaunchStats* stats_out, const Kernel& kernel,
                     Args&... args) {
     const std::string label = "kernel " + std::to_string(grid.count()) +
                               " blocks" +
-                              (opt.prof.kernel_name.empty()
+                              (opt.kernel_name.empty()
                                    ? std::string()
-                                   : " (" + opt.prof.kernel_name + ")");
+                                   : " (" + opt.kernel_name + ")");
     enqueue(s, TimelineEngine::kCompute, label,
             [this, grid, block, opt, stats_out, kernel, sid = s.id,
              targs = std::tuple<Args&...>(args...)](
@@ -208,13 +209,6 @@ class Runtime {
                 std::uint64_t& scope_id) -> double {
               LaunchOptions o = opt;
               if (o.pool == nullptr) o.pool = &pool_;
-              if (o.prof.sink == nullptr) o.prof.sink = profiler_;
-              o.prof.stream = sid;
-              // Unless the caller attached an explicit scope session, use
-              // the runtime's; the record id tags this op's timeline span.
-              if (o.scope.sink == nullptr) o.scope.sink = scope_;
-              if (o.scope.sink != nullptr && o.scope.id_out == nullptr)
-                o.scope.id_out = &scope_id;
               const LaunchStats st = std::apply(
                   [&](Args&... as) {
                     return g80::launch(dev_, grid, block, o, kernel, as...);
@@ -222,8 +216,14 @@ class Runtime {
                   targs);
               if (stats_out != nullptr) *stats_out = st;
               const double secs = st.total_seconds(dev_.spec());
-              if (o.prof.sink != nullptr)
+              if (profiler_ != nullptr) {
+                profiler_->record_launch(o.kernel_name, dev_.spec(), st, sid);
                 blocks = detail::wave_block_spans(dev_.spec(), st, secs);
+              }
+              // The record id tags this op's timeline span.
+              if (scope_ != nullptr)
+                scope_id =
+                    scope_->record_launch(o.kernel_name, dev_.spec(), st, sid);
               return secs;
             });
   }

@@ -6,18 +6,20 @@
 
 namespace g80::scope {
 
-std::uint64_t Session::record(std::string kernel_name, std::uint64_t stream,
-                              KernelScope scope, ResilienceStats resilience) {
-  std::lock_guard<std::mutex> lock(mu_);
+std::uint64_t Session::record_launch(std::string_view kernel_name,
+                                     const DeviceSpec& spec,
+                                     const LaunchStats& stats,
+                                     std::uint64_t stream) {
   LaunchRecord r;
-  const std::uint64_t id = next_id_++;
-  r.id = id;
-  r.kernel_name = std::move(kernel_name);
+  r.kernel_name = kernel_name.empty() ? "kernel" : kernel_name;
   r.stream = stream;
-  r.scope = std::move(scope);
-  r.resilience = std::move(resilience);
+  r.scope = derive_scope(spec, stats.occupancy, stats.grid.count(),
+                         stats.trace, stats.timing, cfg_);
+  r.resilience = stats.resilience;
+  std::lock_guard<std::mutex> lock(mu_);
+  r.id = next_id_++;
   launches_.push_back(std::move(r));
-  return id;
+  return launches_.back().id;
 }
 
 std::vector<LaunchRecord> Session::launches() const {
@@ -34,22 +36,5 @@ void Session::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   launches_.clear();
 }
-
-namespace detail {
-
-// Out-of-line bridge called from the launch template (cudalite/launch.h
-// forward-declares it), keeping cudalite free of scope headers — the same
-// pattern as prof::detail::record_launch.
-std::uint64_t record_launch(Session& sink, const std::string& kernel_name,
-                            std::uint64_t stream, const DeviceSpec& spec,
-                            const LaunchStats& stats) {
-  KernelScope scope =
-      derive_scope(spec, stats.occupancy, stats.grid.count(), stats.trace,
-                   stats.timing, sink.config());
-  return sink.record(kernel_name.empty() ? "kernel" : kernel_name, stream,
-                     std::move(scope), stats.resilience);
-}
-
-}  // namespace detail
 
 }  // namespace g80::scope

@@ -1,15 +1,15 @@
-// Session sink for g80scope, mirroring prof::Profiler's contract: attach
-// one to launches via `LaunchOptions::scope.sink` (or to a g80rt runtime
-// via `RuntimeOptions::scope`) and it accumulates one derived KernelScope
-// per launch.  Recording happens after the launch's passes complete, from
-// statistics the trace pass produced anyway, so kernel outputs and
-// LaunchStats are bit-identical with a scope attached or not
-// (bench/scope_overhead.cc asserts this).
+// Session sink for g80scope, mirroring prof::Profiler's contract: record a
+// finished launch into it with `record_launch(name, dev.spec(), launch(...))`
+// (or attach it to a g80rt runtime via `RuntimeOptions::scope`) and it
+// accumulates one derived KernelScope per launch.  Recording happens after
+// the launch returns, from statistics the trace pass produced anyway, so
+// kernel outputs and LaunchStats are bit-identical with a scope session or
+// without (bench/scope_overhead.cc asserts this).
 //
-// Each record gets a session-unique id; launches routed through g80rt stamp
-// that id on their timeline span (TimelineSpan::scope_id), which is how the
-// Chrome-trace exporter (scope/chrome_counters.h) aligns counter tracks
-// under the right kernel slice.
+// Each record gets a session-unique id; g80rt stamps the id of a launch it
+// records on the launch's timeline span (TimelineSpan::scope_id), which is
+// how the Chrome-trace exporter (scope/chrome_counters.h) aligns counter
+// tracks under the right kernel slice.
 //
 // Thread safety: g80rt streams record concurrently from their host threads;
 // all mutation is mutex-guarded.
@@ -18,10 +18,15 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "resil/policy.h"
 #include "scope/scope.h"
+
+namespace g80 {
+struct LaunchStats;
+}
 
 namespace g80::scope {
 
@@ -40,9 +45,11 @@ class Session {
  public:
   explicit Session(BucketConfig cfg = {}) : cfg_(cfg) {}
 
-  // Appends a record and returns its id.
-  std::uint64_t record(std::string kernel_name, std::uint64_t stream,
-                       KernelScope scope, ResilienceStats resilience = {});
+  // Derives the time series of one finished launch, appends it under
+  // `kernel_name` ("" -> "kernel") and returns the record id.
+  std::uint64_t record_launch(std::string_view kernel_name,
+                              const DeviceSpec& spec, const LaunchStats& stats,
+                              std::uint64_t stream = 0);
 
   // Records in arrival order (copy; the session keeps accepting records).
   std::vector<LaunchRecord> launches() const;

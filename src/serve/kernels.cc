@@ -219,21 +219,17 @@ LaunchStats launch_once(Device& dev, const JobRequest& req,
 std::string run_launch_payload(Device& dev, const JobRequest& req,
                                const LaunchConfig& c,
                                const ResiliencePolicy& policy,
+                               AttemptObserver* attempts,
                                std::uint64_t cache_key,
                                double& modeled_seconds) {
   LaunchOptions opt = options_from_config(c);
   ResiliencePolicy job_policy = policy;
   apply_fault(req, opt, job_policy);
   opt.resilience = job_policy;
-
-  prof::Profiler profiler;
-  if (req.op == Op::kProfile) {
-    opt.prof.sink = &profiler;
-    opt.prof.kernel_name = req.kernel;
-    // Counters are derived from trace samples, so a profile job that asked
-    // for zero samples still traces one block.
-    if (opt.sample_blocks < 1) opt.sample_blocks = 1;
-  }
+  opt.attempts = attempts;
+  // Counters are derived from trace samples, so a profile job that asked
+  // for zero samples still traces one block.
+  if (req.op == Op::kProfile && opt.sample_blocks < 1) opt.sample_blocks = 1;
 
   std::uint64_t checksum = 0;
   const LaunchStats stats = launch_once(dev, req, c, opt, checksum);
@@ -247,6 +243,8 @@ std::string run_launch_payload(Device& dev, const JobRequest& req,
   w.key("stats");
   w.raw(launch_stats_json(dev.spec(), stats));
   if (req.op == Op::kProfile) {
+    prof::Profiler profiler;
+    profiler.record_launch(req.kernel, dev.spec(), stats);
     const auto kernels = profiler.kernels();
     if (!kernels.empty()) {
       const auto& k = kernels.front();
@@ -271,6 +269,7 @@ std::string run_launch_payload(Device& dev, const JobRequest& req,
 std::string run_autotune_payload(Device& dev, const JobRequest& req,
                                  const LaunchConfig& base,
                                  const ResiliencePolicy& policy,
+                                 AttemptObserver* attempts,
                                  std::uint64_t cache_key,
                                  double& modeled_seconds) {
   // Candidate sweep.  Timing-only launches (functional=false): the modeled
@@ -334,6 +333,7 @@ std::string run_autotune_payload(Device& dev, const JobRequest& req,
   for (std::size_t i = 0; i < cands.size(); ++i) {
     LaunchOptions opt = options_from_config(cands[i].config);
     opt.resilience = policy;
+    opt.attempts = attempts;
     std::uint64_t checksum = 0;
     const LaunchStats stats =
         launch_once(dev, cands[i].req, cands[i].config, opt, checksum);
@@ -429,7 +429,7 @@ std::uint64_t job_cache_key(const JobRequest& req, const LaunchConfig& resolved,
 }
 
 JobOutcome run_job(Device& dev, const JobRequest& req,
-                   const ResiliencePolicy& policy) {
+                   const ResiliencePolicy& policy, AttemptObserver* attempts) {
   JobOutcome out;
   const std::uint64_t h2d0 = dev.ledger().lifetime_h2d_bytes();
   const std::uint64_t d2h0 = dev.ledger().lifetime_d2h_bytes();
@@ -438,11 +438,11 @@ JobOutcome run_job(Device& dev, const JobRequest& req,
     const std::uint64_t key =
         job_cache_key(req, c, device_spec_hash(dev.spec()));
     if (req.op == Op::kAutotune) {
-      out.payload =
-          run_autotune_payload(dev, req, c, policy, key, out.modeled_seconds);
+      out.payload = run_autotune_payload(dev, req, c, policy, attempts, key,
+                                         out.modeled_seconds);
     } else {
-      out.payload =
-          run_launch_payload(dev, req, c, policy, key, out.modeled_seconds);
+      out.payload = run_launch_payload(dev, req, c, policy, attempts, key,
+                                       out.modeled_seconds);
     }
   } catch (const StatusError& e) {
     out.status = e.status();

@@ -29,6 +29,7 @@
 #include "serve/protocol.h"
 
 namespace g80 {
+class AttemptObserver;
 class Device;
 }
 
@@ -60,7 +61,10 @@ struct JobOutcome {
 };
 
 // Runs a launch/profile/autotune job on `dev` under `policy`.  Never throws.
+// `attempts` (null = none) hears the g80resil attempts of every launch the
+// job makes.
 JobOutcome run_job(Device& dev, const JobRequest& req,
-                   const ResiliencePolicy& policy);
+                   const ResiliencePolicy& policy,
+                   AttemptObserver* attempts = nullptr);
 
 }  // namespace g80::serve

@@ -58,13 +58,8 @@ struct Scheduler::Impl {
         } catch (...) {
         }
       }
-      JobOutcome out;
-      {
-        // Route g80resil's per-attempt callbacks (fired on this thread,
-        // inline with the retry loop) to this job's observer.
-        ScopedAttemptObserver scoped(job.hooks.attempts);
-        out = run_job(dev, job.req, cfg.policy);
-      }
+      const JobOutcome out =
+          run_job(dev, job.req, cfg.policy, job.hooks.attempts);
       // Rewind the slot after every job: Device allocates with a bump
       // cursor that only reset() returns to zero, so a slot that skipped
       // it after successful jobs would run out of address space and fail

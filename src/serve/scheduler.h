@@ -84,8 +84,8 @@ struct SchedulerStats {
 };
 
 // Optional per-job observation hooks.  Everything here runs on the slot's
-// worker thread, so the span a hook closes measures real queue wait and the
-// attempt observer sees exactly this job's attempts.
+// worker thread, so the span a hook closes measures real queue wait; the
+// attempt observer goes to this job's launches only.
 struct JobHooks {
   // Invoked after the job is dequeued, immediately before it runs — closes
   // the request's queue-wait span and opens its simulate span.
@@ -93,9 +93,9 @@ struct JobHooks {
   // Named out-of-band occurrences ("device_reset") with a detail note.
   std::function<void(const std::string& name, const std::string& note)>
       on_event;
-  // Installed (ScopedAttemptObserver) around run_job so g80resil's retry
-  // loop reports each attempt.  Must stay valid until the completion
-  // callback returns; null disables.
+  // Passed to run_job, so g80resil's retry loop reports each attempt of
+  // the job's launches.  Must stay valid until the completion callback
+  // returns; null disables.
   AttemptObserver* attempts = nullptr;
 };
 

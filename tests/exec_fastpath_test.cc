@@ -317,7 +317,9 @@ TEST(LaunchNoSamples, ModeledWatchdogStillFires) {
 
 TEST(LaunchNoSamples, FallbackLevelTwoTracesOnlyWhatIsNeeded) {
   // Two injected transient failures walk the launch down to level 2, which
-  // traces one block when something needs a trace and none otherwise.
+  // traces one block when something needs a trace and none otherwise.  An
+  // attempt observer needs none, so a traced serve request degrades exactly
+  // as an untraced one does.
   const int n = 64, tile = 16;
   const auto wl = apps::MatmulWorkload::generate(n, 13);
   const auto level_two = [] {
@@ -339,6 +341,9 @@ TEST(LaunchNoSamples, FallbackLevelTwoTracesOnlyWhatIsNeeded) {
   rows.back().opt.sanitize.enabled = true;
   rows.push_back({"modeled watchdog armed", level_two(), 1});
   rows.back().opt.resilience.modeled_timeout_s = 1e9;  // armed, never fires
+  AttemptObserver attempts;  // every callback a no-op
+  rows.push_back({"attempt observer attached", level_two(), 0});
+  rows.back().opt.attempts = &attempts;
   for (const Row& row : rows) {
     MatmulSetup m(wl, n, tile);
     const LaunchStats s = m.go(row.opt);

@@ -14,8 +14,9 @@
 //   2. the g80check sanitize pass is sound on clean kernels (no findings),
 //      reports only barrier divergence on the early-exit kernel, and is
 //      side-effect-free (outputs identical with it on or off);
-//   3. an enabled-but-untriggered resilience policy is a no-op: same
-//      outputs, exactly one attempt, clean history;
+//   3. an enabled-but-untriggered resilience policy is a no-op, with or
+//      without an attempt observer attached: same outputs and launch
+//      digest, exactly one attempt, clean history;
 //   4. model sanity: occupancy fraction in (0, 1], modeled time positive,
 //      achieved DRAM bandwidth never exceeds the 86.4 GB/s hardware peak;
 //   5. the trace sample is invisible in results: for every random
@@ -51,9 +52,13 @@
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
 #include "exec/worker_pool.h"
+#include "resil/resilience.h"
+#include "trace_digest.h"
 
 namespace g80 {
 namespace {
+
+const DeviceSpec kSpec = DeviceSpec::geforce_8800_gtx();
 
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
@@ -279,21 +284,29 @@ TEST(InvariantFuzz, UntriggeredResiliencePolicyIsNoOp) {
     const auto input = random_input(rng, c.n());
 
     const auto [plain_out, plain_stats] = run_config(c, input, base_options(c));
+    const std::uint64_t plain_digest =
+        launch_digest(kSpec, plain_stats, {});
 
-    LaunchOptions resilient = base_options(c);
-    resilient.resilience.enabled = true;
-    resilient.resilience.wall_timeout_s = 60.0;  // never fires
-    const auto [res_out, res_stats] = run_config(c, input, resilient);
+    AttemptObserver observer;  // every callback a no-op
+    AttemptObserver* const observers[] = {nullptr, &observer};
+    for (AttemptObserver* attempts : observers) {
+      const std::string what =
+          c.str() + (attempts != nullptr ? " observed" : "");
+      LaunchOptions resilient = base_options(c);
+      resilient.resilience.enabled = true;
+      resilient.resilience.wall_timeout_s = 60.0;  // never fires
+      resilient.attempts = attempts;
+      const auto [res_out, res_stats] = run_config(c, input, resilient);
 
-    EXPECT_EQ(plain_out, res_out) << c.str();
-    EXPECT_EQ(res_stats.resilience.attempts, 1) << c.str();
-    EXPECT_FALSE(res_stats.resilience.recovered) << c.str();
-    EXPECT_FALSE(res_stats.resilience.timed_out) << c.str();
-    ASSERT_EQ(res_stats.resilience.history.size(), 1u) << c.str();
-    EXPECT_EQ(res_stats.resilience.history[0].status, Status::kSuccess)
-        << c.str();
-    EXPECT_DOUBLE_EQ(plain_stats.timing.seconds, res_stats.timing.seconds)
-        << c.str();
+      EXPECT_EQ(plain_out, res_out) << what;
+      EXPECT_EQ(launch_digest(kSpec, res_stats, {}), plain_digest) << what;
+      EXPECT_EQ(res_stats.resilience.attempts, 1) << what;
+      EXPECT_FALSE(res_stats.resilience.recovered) << what;
+      EXPECT_FALSE(res_stats.resilience.timed_out) << what;
+      ASSERT_EQ(res_stats.resilience.history.size(), 1u) << what;
+      EXPECT_EQ(res_stats.resilience.history[0].status, Status::kSuccess)
+          << what;
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 // g80obs request tracing: RequestTrace span lifecycle and completeness
 // rules, TraceRing wraparound, and the end-to-end span tree an in-process
 // g80serve daemon produces — cold simulation, cache hit, the g80resil retry
-// path (attempt events via the scheduler's ScopedAttemptObserver), metrics
-// reconciliation against traces, the slow-request log, and the metrics /
-// traces protocol ops with their not_permitted gates.
+// path (attempt events reach the request's observer through
+// LaunchOptions::attempts, which run_job sets from the job's hooks),
+// metrics reconciliation against traces, the slow-request log, and the
+// metrics / traces protocol ops with their not_permitted gates.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

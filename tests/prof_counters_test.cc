@@ -10,6 +10,7 @@
 #include "cudalite/launch.h"
 #include "prof/counters.h"
 #include "prof/profiler.h"
+#include "scope/session.h"
 
 namespace g80 {
 namespace {
@@ -185,11 +186,11 @@ TEST(Profiler, AggregatesLaunchesByKernelName) {
   prof::Profiler p;
   auto in = dev.alloc<float>(16);
   auto out = dev.alloc<float>(16);
-  LaunchOptions opt = exact_options();
-  opt.prof.sink = &p;
-  opt.prof.kernel_name = "copy16";
-  launch(dev, Dim3(1), Dim3(16), opt, CoalescedLoadKernel{}, in, out);
-  launch(dev, Dim3(1), Dim3(16), opt, CoalescedLoadKernel{}, in, out);
+  for (int i = 0; i < 2; ++i) {
+    p.record_launch("copy16", dev.spec(),
+                    launch(dev, Dim3(1), Dim3(16), exact_options(),
+                           CoalescedLoadKernel{}, in, out));
+  }
 
   EXPECT_EQ(p.total_launches(), 2u);
   const auto ks = p.kernels();
@@ -208,12 +209,12 @@ TEST(Profiler, DistinctKernelNamesGetDistinctProfiles) {
   prof::Profiler p;
   auto in = dev.alloc<float>(32);
   auto out = dev.alloc<float>(16);
-  LaunchOptions opt = exact_options();
-  opt.prof.sink = &p;
-  opt.prof.kernel_name = "coalesced";
-  launch(dev, Dim3(1), Dim3(16), opt, CoalescedLoadKernel{}, in, out);
-  opt.prof.kernel_name = "strided";
-  launch(dev, Dim3(1), Dim3(16), opt, Stride2LoadKernel{}, in, out);
+  p.record_launch("coalesced", dev.spec(),
+                  launch(dev, Dim3(1), Dim3(16), exact_options(),
+                         CoalescedLoadKernel{}, in, out));
+  p.record_launch("strided", dev.spec(),
+                  launch(dev, Dim3(1), Dim3(16), exact_options(),
+                         Stride2LoadKernel{}, in, out));
 
   const auto ks = p.kernels();
   ASSERT_EQ(ks.size(), 2u);  // first-launch order
@@ -232,10 +233,9 @@ TEST(Profiler, AttachingASinkDoesNotPerturbResults) {
   auto run = [&](prof::Profiler* sink) {
     auto d = dev.alloc<float>(n);
     d.copy_from_host(host);
-    LaunchOptions opt;
-    opt.prof.sink = sink;
-    opt.prof.kernel_name = "mad4";
-    launch(dev, Dim3(n / 64), Dim3(64), opt, Mad4Kernel{}, d);
+    const LaunchStats s =
+        launch(dev, Dim3(n / 64), Dim3(64), LaunchOptions{}, Mad4Kernel{}, d);
+    if (sink != nullptr) sink->record_launch("mad4", dev.spec(), s);
     return d.copy_to_host();
   };
 
@@ -256,9 +256,9 @@ TEST(Profiler, ClearEmptiesTheSession) {
   prof::Profiler p;
   auto in = dev.alloc<float>(16);
   auto out = dev.alloc<float>(16);
-  LaunchOptions opt = exact_options();
-  opt.prof.sink = &p;
-  launch(dev, Dim3(1), Dim3(16), opt, CoalescedLoadKernel{}, in, out);
+  p.record_launch("copy16", dev.spec(),
+                  launch(dev, Dim3(1), Dim3(16), exact_options(),
+                         CoalescedLoadKernel{}, in, out));
   p.record_transfer(/*h2d=*/true, 1024, 1e-6);
   ASSERT_EQ(p.total_launches(), 1u);
   ASSERT_EQ(p.transfers().h2d_count, 1u);
@@ -271,14 +271,20 @@ TEST(Profiler, ClearEmptiesTheSession) {
 TEST(Profiler, UnnamedLaunchFallsBackToDefaultKey) {
   Device dev;
   prof::Profiler p;
+  scope::Session session;
   auto in = dev.alloc<float>(16);
   auto out = dev.alloc<float>(16);
-  LaunchOptions opt = exact_options();
-  opt.prof.sink = &p;  // no kernel_name set
-  launch(dev, Dim3(1), Dim3(16), opt, CoalescedLoadKernel{}, in, out);
+  const LaunchStats s = launch(dev, Dim3(1), Dim3(16), exact_options(),
+                               CoalescedLoadKernel{}, in, out);
+  p.record_launch("", dev.spec(), s);
+  session.record_launch("", dev.spec(), s);
   const auto ks = p.kernels();
   ASSERT_EQ(ks.size(), 1u);
   EXPECT_EQ(ks[0].name, "kernel");
+  // The scope session falls back to the same key.
+  const auto rs = session.launches();
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs[0].kernel_name, "kernel");
 }
 
 }  // namespace

@@ -118,11 +118,11 @@ TEST(RuntimeProfiling, RecordsLaunchesAndTransfersAcrossStreams) {
   rt::Stream s0 = r.stream_create();
   rt::Stream s1 = r.stream_create();
   LaunchOptions opt;
-  opt.prof.kernel_name = "scale2";
+  opt.kernel_name = "scale2";
   r.memcpy_h2d_async(s0, d0, h0);
   r.launch_async(s0, Dim3(n / 256), Dim3(256), opt, nullptr,
                  ScaleKernel{2.0f}, d0, o0);
-  opt.prof.kernel_name = "scale3";
+  opt.kernel_name = "scale3";
   r.memcpy_h2d_async(s1, d1, h1);
   r.launch_async(s1, Dim3(n / 256), Dim3(256), opt, nullptr,
                  ScaleKernel{3.0f}, d1, o1);
@@ -175,7 +175,7 @@ TEST(RuntimeProfiling, ProfiledTimelineExportsWithDistinctTracks) {
   auto o = dev.alloc<float>(n);
   rt::Stream s = r.stream_create();
   LaunchOptions opt;
-  opt.prof.kernel_name = "scale2";
+  opt.kernel_name = "scale2";
   r.memcpy_h2d_async(s, d, h);
   r.launch_async(s, Dim3(64), Dim3(256), opt, nullptr, ScaleKernel{2.0f}, d,
                  o);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -242,7 +243,7 @@ TEST(ResilRetry, OutputsBitIdenticalAcrossFallbackLevels) {
 
   // Degraded: two injected transient failures walk the launch down the full
   // fallback ladder (pool -> sequential -> no sanitize pass, one traced
-  // block for the observer).
+  // block because sanitizing was requested).
   Device dev;
   auto in = dev.alloc<int>(n);
   auto out = dev.alloc<int>(n);
@@ -256,6 +257,90 @@ TEST(ResilRetry, OutputsBitIdenticalAcrossFallbackLevels) {
       launch(dev, Dim3(n / 128), Dim3(128), opt, ReverseKernel{}, in, out);
   EXPECT_EQ(stats.resilience.fallback_level, 2);
   EXPECT_EQ(out.copy_to_host(), expected);
+}
+
+// ---- Attempt observer -----------------------------------------------------------
+
+// Writes each attempt event as one token, e.g. "start(1,1)", "fail(1,retry)",
+// "success(2,recovered)".
+class RecordingObserver : public AttemptObserver {
+ public:
+  void on_attempt_start(int attempt, int fallback_level) override {
+    events.push_back("start(" + std::to_string(attempt) + "," +
+                     std::to_string(fallback_level) + ")");
+  }
+  void on_attempt_failure(int attempt, Status, bool will_retry) override {
+    events.push_back("fail(" + std::to_string(attempt) + "," +
+                     (will_retry ? "retry" : "final") + ")");
+  }
+  void on_attempt_success(int attempt, bool recovered) override {
+    events.push_back("success(" + std::to_string(attempt) + "," +
+                     (recovered ? "recovered" : "false") + ")");
+  }
+  std::vector<std::string> events;
+};
+
+TEST(ResilAttemptObserver, SeesExactlyTheAttemptsOfItsOwnLaunch) {
+  struct Row {
+    const char* name;
+    bool enabled;
+    int max_retries;
+    int inject;
+    std::vector<std::string> events;
+    bool throws;
+  };
+  const std::vector<Row> rows = {
+      {"policy disabled", false, 2, 0, {"start(0,0)", "success(0,false)"},
+       false},
+      {"two injected transients", true, 2, 2,
+       {"start(0,0)", "fail(0,retry)", "start(1,1)", "fail(1,retry)",
+        "start(2,2)", "success(2,recovered)"},
+       false},
+      {"budget exhausted", true, 1, 3,
+       {"start(0,0)", "fail(0,retry)", "start(1,1)", "fail(1,final)"}, true},
+  };
+  for (const Row& row : rows) {
+    Device dev;
+    auto out = dev.alloc<int>(256);
+    RecordingObserver obs;
+    LaunchOptions opt;
+    opt.resilience.enabled = row.enabled;
+    opt.resilience.max_retries = row.max_retries;
+    opt.resilience.inject_transient_failures = row.inject;
+    opt.resilience.backoff_initial_s = 0;
+    opt.attempts = &obs;
+    const auto [code, msg] = catch_status(
+        [&] { launch(dev, Dim3(4), Dim3(64), opt, FillKernel{256}, out); });
+    EXPECT_EQ(code != Status::kSuccess, row.throws) << row.name << ": " << msg;
+    EXPECT_EQ(obs.events, row.events) << row.name;
+  }
+
+  // Two threads launching at once, each with its own observer: each sees
+  // only its own launch, and a later launch on the same thread with no
+  // observer adds nothing.
+  const std::vector<std::vector<std::string>> expected = {
+      {"start(0,0)", "success(0,false)"},
+      {"start(0,0)", "fail(0,retry)", "start(1,1)", "success(1,recovered)"}};
+  RecordingObserver observers[2];
+  std::latch both_ready(2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Device dev;
+      auto out = dev.alloc<int>(256);
+      both_ready.arrive_and_wait();
+      LaunchOptions opt;
+      opt.resilience.enabled = true;
+      opt.resilience.inject_transient_failures = t;
+      opt.resilience.backoff_initial_s = 0;
+      opt.attempts = &observers[t];
+      launch(dev, Dim3(4), Dim3(64), opt, FillKernel{256}, out);
+      opt.attempts = nullptr;
+      launch(dev, Dim3(4), Dim3(64), opt, FillKernel{256}, out);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 2; ++t) EXPECT_EQ(observers[t].events, expected[t]) << t;
 }
 
 // ---- Device::reset recovery semantics ----------------------------------------

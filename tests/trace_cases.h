@@ -112,7 +112,7 @@ struct StagedReduceKernel {
 // What one launch's trace pass feeds downstream.
 struct TraceObserved {
   LaunchStats stats;
-  std::vector<scope::SmSeries> sms;  // empty unless a scope session attached
+  std::vector<scope::SmSeries> sms;  // empty unless recorded into a session
 };
 
 inline TraceObserved run_converged_multi_space() {
@@ -131,11 +131,10 @@ inline TraceObserved run_converged_multi_space() {
 
   prof::Profiler p;
   LaunchOptions opt;
-  opt.prof.sink = &p;
-  opt.prof.kernel_name = "multi_space";
   TraceObserved o;
   o.stats = launch(dev, Dim3(n / 64), Dim3(64), opt,
                    ConvergedMultiSpaceKernel{}, in, c, t, out);
+  p.record_launch("multi_space", dev.spec(), o.stats);
   return o;
 }
 
@@ -194,7 +193,7 @@ inline TraceObserved run_sanitizer_observed() {
   return o;
 }
 
-// The §4 matmul with a scope session attached: bucket series are derived
+// The §4 matmul recorded into a scope session: bucket series are derived
 // from the trace pass, so they are the most sensitive downstream consumer.
 inline TraceObserved run_scope_matmul() {
   Device dev;
@@ -209,12 +208,11 @@ inline TraceObserved run_scope_matmul() {
   prof::Profiler p;
   LaunchOptions opt;
   opt.regs_per_thread = 9;
-  opt.scope.sink = &session;
-  opt.prof.sink = &p;
-  opt.prof.kernel_name = "matmul";
   TraceObserved o;
   o.stats = launch(dev, Dim3(n / tile, n / tile), Dim3(tile, tile), opt,
                    apps::MatmulTiledKernel{n, tile, /*unrolled=*/true}, a, b, c);
+  p.record_launch("matmul", dev.spec(), o.stats);
+  session.record_launch("matmul", dev.spec(), o.stats);
   o.sms = session.launches().front().scope.sms;
   return o;
 }
