@@ -305,6 +305,10 @@ int main(int argc, char** argv) {
             static_cast<double>(traced_stats.trace.regrouped_streams));
     row.set("global_instructions",
             static_cast<double>(traced_stats.trace.total.global_instructions));
+    row.set("arena_row_bytes",
+            static_cast<double>(traced_stats.trace.arena_row_bytes));
+    row.set("site_lookups",
+            static_cast<double>(traced_stats.trace.site_lookups));
     row.set("bit_identical", traced_identical ? 1 : 0);
   }
 

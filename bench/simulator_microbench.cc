@@ -61,8 +61,8 @@ void BM_BarrierFreeBlock(benchmark::State& state) {
 BENCHMARK(BM_BarrierFreeBlock)->Arg(128)->Arg(512);
 
 // One all-active 32-lane row, lane k at k * stride_bytes.
-std::vector<std::uint64_t> strided_addrs(std::uint64_t stride_bytes) {
-  std::vector<std::uint64_t> addrs(32);
+std::vector<std::uint32_t> strided_addrs(std::uint32_t stride_bytes) {
+  std::vector<std::uint32_t> addrs(32);
   for (int k = 0; k < 32; ++k) addrs[k] = stride_bytes * k;
   return addrs;
 }
@@ -120,9 +120,10 @@ void BM_FunctionalLaunch(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalLaunch)->Arg(16)->Arg(256);
 
-// Recorder cost on a many-site kernel: cycling through S distinct sites
-// defeats the recorder's last-site memo, so every access pays an intern
-// probe into the arena's block-level site table.  Arg: distinct sites.
+// Recorder cost on a many-site kernel, recorded as the lane that opens
+// every row: cycling through S > 2 distinct sites defeats the recorder's
+// two-site memo, so every access pays an intern probe into the arena's
+// block-level site table.  Arg: distinct sites.
 void BM_RecorderManySites(benchmark::State& state) {
   const int sites = static_cast<int>(state.range(0));
   constexpr int kAccesses = 4096;

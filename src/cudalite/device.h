@@ -300,11 +300,20 @@ class Device {
                 " B > " + std::to_string(spec_.global_mem_bytes) +
                 " B (the paper's PNS capacity limit, Table 3)");
     }
+    // G80 device addresses are 32-bit; the trace arena stores them so.
+    // Raised here, before the caller builds any host storage.
+    if (bytes > kAddressSpaceEnd - addr) {
+      raise(Status::kMemoryAllocation,
+            "device address space exhausted: a " + std::to_string(bytes) +
+                " B range at " + std::to_string(addr) +
+                " would end past the 32-bit limit");
+    }
     next_addr_ = addr + bytes;
     return addr;
   }
 
   static constexpr std::uint64_t kBaseAddr = 1 << 20;
+  static constexpr std::uint64_t kAddressSpaceEnd = 1ull << 32;
 
   DeviceSpec spec_;
   TransferLedger ledger_;

@@ -6,8 +6,10 @@
 //  - LaneRecorder: records for the timing model (sampled blocks only).
 //    Counts, branches and barriers go to the thread's LaneTrace; memory
 //    accesses stream into the block's TraceArena (per-(warp, space) SoA
-//    batches), and call-site notes are deduplicated by a last-site memo
-//    plus the arena's O(1) block-level intern table (trace_arena.h).
+//    batches).  A memory access notes its call site only where the lane
+//    opens a row or records to overflow (a lane joining a row uses the site
+//    the row's creator noted), and notes are deduplicated by a two-site
+//    memo plus the arena's O(1) block-level intern table (trace_arena.h).
 #pragma once
 
 #include <cstdint>
@@ -53,14 +55,18 @@ class LaneRecorder {
   }
   void flops(double f) { lane_->flops += f; }
 
+  // `addr` is below 2^32 in every space (trace_arena.h), so the arena
+  // keeps its low 32 bits.
   void mem(OpClass c, std::uint64_t addr, std::uint32_t size,
            std::uint32_t site, const std::source_location& loc) {
     count(c);
-    note_site(site, loc);
     const bool store =
         c == OpClass::kStoreGlobal || c == OpClass::kStoreShared;
     const int space = trace_space_of(c);
-    if (space >= 0) streams_[space]->record(sub_, site, size, store, addr);
+    if (space < 0 ||
+        !streams_[space]->record(sub_, site, size, store,
+                                 static_cast<std::uint32_t>(addr)))
+      note_site(site, loc);
   }
 
   void branch_outcome(bool taken, std::uint32_t site) {
@@ -74,11 +80,13 @@ class LaneRecorder {
 
  private:
   void note_site(std::uint32_t site, const std::source_location& loc) {
-    // Last-site memo (kernels hammer one site in a loop) + O(1) intern.
-    // Block-level dedup: the first lane in the block to use a site holds
-    // its note; the collector scans all lanes for it.
-    if (last_site_ == site) return;
-    last_site_ = site;
+    // Memo of the last two sites (a loop body alternating A.ld / B.ld opens
+    // rows at both) + O(1) intern.  Block-level dedup: the first lane in
+    // the block to use a site holds its note; the collector scans all lanes
+    // for it.
+    if (recent_[0] == site || recent_[1] == site) return;
+    recent_[1] = recent_[0];
+    recent_[0] = site;
     if (arena_->intern_site(site))
       lane_->site_notes.push_back({site, loc.file_name(), loc.line()});
   }
@@ -86,8 +94,8 @@ class LaneRecorder {
   LaneTrace* lane_;
   TraceArena* arena_;
   WarpSpaceBatch* streams_[kNumTraceSpaces] = {};
-  int sub_;                              // lane index within its warp
-  std::uint64_t last_site_ = ~0ull;      // no site seen yet
+  int sub_;                                   // lane index within its warp
+  std::uint64_t recent_[2] = {~0ull, ~0ull};  // no site seen yet
 };
 
 }  // namespace g80

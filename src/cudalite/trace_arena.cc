@@ -102,6 +102,15 @@ void TraceArena::begin_block(const DeviceSpec& spec, int num_lanes) {
   if (streams_.size() < need) streams_.resize(need);
   for (std::size_t i = 0; i < need; ++i) streams_[i].reset(warp_size_);
   sites_.clear();
+  site_lookups_ = 0;
+}
+
+std::uint64_t TraceArena::row_bytes() const {
+  const std::size_t n = static_cast<std::size_t>(num_warps_) * kNumTraceSpaces;
+  std::uint64_t bytes = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    bytes += streams_[i].rows() * streams_[i].row_bytes();
+  return bytes;
 }
 
 }  // namespace g80

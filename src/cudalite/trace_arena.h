@@ -11,12 +11,17 @@
 //
 //   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with
 //     one row per warp-level instruction — a packed static key
-//     (site | size | store), an active-lane mask, and a lane-striped address
-//     column.
+//     (site | size | store), an active-lane mask, and a lane-striped column
+//     of 32-bit device addresses (G80 addresses fit: Device::allocate_range
+//     refuses any range that would end past 2^32, and shared offsets are
+//     under 16 KiB).  A 32-lane row is 8 + 4 + 32 * 4 = 140 bytes.
 //   - The first lane to reach position j appends row j; every later lane
 //     whose j-th access carries the same static key claims its mask bit and
 //     address slot with a single compare — no hashing, no per-access
 //     allocation (row capacity is reused across the blocks a slot traces).
+//   - Only the lane that opens a row (or records to overflow) looks its
+//     call site up in the block's intern table: a lane that joins row j
+//     uses the site row j's creator already interned.
 //   - A lane whose j-th access does NOT match row j has diverged from the
 //     warp's common instruction stream.  It permanently falls back to a
 //     per-lane overflow vector and the stream is marked dirty; the collector
@@ -87,7 +92,7 @@ constexpr bool trace_key_store(std::uint64_t key) { return (key >> 63) != 0; }
 // One recorded access of a lane that left its warp's positional stream (the
 // overflow record), and the unit of a reconstructed lane sequence.
 struct MemAccess {
-  std::uint64_t addr = 0;  // byte address in the access's address space
+  std::uint32_t addr = 0;  // byte address in the access's address space
   std::uint32_t size = 4;  // access width in bytes (a sizeof())
   std::uint32_t site = 0;  // static call site of the ld/st (source hash)
   bool store = false;      // direction, for the gld_*/gst_* counter split
@@ -125,7 +130,7 @@ struct WarpSpaceBatch {
   // SoA columns, one row per reconstructed warp-level instruction.
   std::vector<std::uint64_t> keys;   // pack_trace_key(site, size, store)
   std::vector<std::uint32_t> masks;  // bit s: lane s recorded this row
-  std::vector<std::uint64_t> addrs;  // row-major, `stride` slots per row
+  std::vector<std::uint32_t> addrs;  // row-major, `stride` slots per row
 
   int stride = kMaxLanes;  // lanes per row (= warp size)
   // Next row index per lane; matched rows always form the prefix [0, cursor).
@@ -136,7 +141,12 @@ struct WarpSpaceBatch {
 
   bool dirty() const { return diverged != 0; }
   std::size_t rows() const { return keys.size(); }
-  const std::uint64_t* row_addrs(std::size_t row) const {
+  // Bytes one row occupies across the three columns.
+  std::size_t row_bytes() const {
+    return sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+           static_cast<std::size_t>(stride) * sizeof(std::uint32_t);
+  }
+  const std::uint32_t* row_addrs(std::size_t row) const {
     return addrs.data() + row * static_cast<std::size_t>(stride);
   }
 
@@ -152,13 +162,15 @@ struct WarpSpaceBatch {
     }
   }
 
-  // The recorder hot path: positional prefix matching.
-  void record(int sub, std::uint32_t site, std::uint32_t size, bool store,
-              std::uint64_t addr) {
+  // The recorder hot path: positional prefix matching.  Returns true iff
+  // the lane joined a row an earlier lane opened (so that lane has already
+  // noted `site`); false when it opened a new row or recorded to overflow.
+  bool record(int sub, std::uint32_t site, std::uint32_t size, bool store,
+              std::uint32_t addr) {
     const std::uint32_t bit = 1u << sub;
     if (diverged & bit) {
       overflow[sub].push_back({addr, size, site, store});
-      return;
+      return false;
     }
     const std::uint64_t key = pack_trace_key(site, size, store);
     std::uint32_t& cur = cursor[sub];
@@ -167,19 +179,20 @@ struct WarpSpaceBatch {
         masks[cur] |= bit;
         addrs[cur * static_cast<std::size_t>(stride) + sub] = addr;
         ++cur;
-        return;
+        return true;
       }
       // This lane left the warp's common stream: record it (and everything
       // it does from now on in this space) per-lane; the collector regroups.
       diverged |= bit;
       overflow[sub].push_back({addr, size, site, store});
-      return;
+      return false;
     }
     // cur == rows(): this lane extends the stream with a new row.
     const std::size_t row = append_row(key);
     masks[row] = bit;
     addrs[row * static_cast<std::size_t>(stride) + sub] = addr;
     ++cur;
+    return false;
   }
 
   // Appends an empty row (no lane active) for `key`; returns its index.
@@ -232,11 +245,20 @@ class TraceArena {
   }
 
   // O(1) note_site support: true iff this block has not seen `site` yet.
-  bool intern_site(std::uint32_t site) { return sites_.insert(site); }
+  bool intern_site(std::uint32_t site) {
+    ++site_lookups_;
+    return sites_.insert(site);
+  }
+
+  // Exact work counters of the block recorded so far: intern-table lookups,
+  // and bytes of the SoA rows the recorder appended across all streams.
+  std::uint64_t site_lookups() const { return site_lookups_; }
+  std::uint64_t row_bytes() const;
 
  private:
   std::vector<WarpSpaceBatch> streams_;
   SiteInterner sites_;
+  std::uint64_t site_lookups_ = 0;
   int warp_size_ = 0;
   int num_warps_ = 0;
 };

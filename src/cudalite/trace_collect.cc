@@ -260,6 +260,8 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
       }
     }
   }
+  block.arena_row_bytes = arena.row_bytes();
+  block.site_lookups = arena.site_lookups();
   block.sites = sites.take();
   merge_site_stats(block.sites, {});  // impose the deterministic ordering
   return block;

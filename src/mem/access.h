@@ -11,10 +11,12 @@ namespace g80 {
 // whole warp, active lanes are a bit mask, and only the addresses vary per
 // lane.  Positionally matched rows and regrouped (diverged) streams both
 // reach the analyzers in this form, so each rule has exactly one analyzer.
+// Addresses are 32-bit, as G80 device addresses are; the analyzers widen
+// each one to 64 bits on load, so no sum or product they form can wrap.
 struct SoaWarpAccess {
   std::uint32_t mask = 0;   // bit i: lane i active
   std::uint32_t size = 0;   // uniform access width in bytes
-  const std::uint64_t* addrs = nullptr;  // lane i at addrs[i] (valid iff bit)
+  const std::uint32_t* addrs = nullptr;  // lane i at addrs[i] (valid iff bit)
   int lanes = 0;            // warp size (<= 32)
 };
 

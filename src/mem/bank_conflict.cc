@@ -17,13 +17,13 @@ int half_warp_serialization(const DeviceSpec& spec, const SoaWarpAccess& row,
   if (half_mask == 0) return 0;  // nothing issued
   const std::uint64_t banks = static_cast<std::uint64_t>(spec.shared_mem_banks);
   const std::uint64_t words_per_lane = (row.size + 3) / 4;
-  const std::uint64_t* addr = row.addrs + lo;
+  const std::uint32_t* addr = row.addrs + lo;
 
   Span words[32];  // one per lane; a row has at most 32
   int nspans = 0;
   for (int k = 0; k < n; ++k) {
     if ((half_mask >> k & 1u) == 0) continue;
-    const std::uint64_t first = addr[k] / 4;
+    const std::uint64_t first = std::uint64_t{addr[k]} / 4;
     push_span(words, nspans, {first, first + words_per_lane - 1});
   }
   nspans = merge_spans(words, nspans);

@@ -32,7 +32,7 @@ CoalesceResult half_warp_result(const DeviceSpec& spec,
   const int active = std::popcount(half_mask);
   if (active == 0) return r;  // fully predicated-off: no traffic
   const std::uint32_t size = row.size;
-  const std::uint64_t* addr = row.addrs + lo;
+  const std::uint32_t* addr = row.addrs + lo;
 
   // Strict compute-1.0 pattern: lane k at base + k*size, base aligned to the
   // 16-word segment.
@@ -43,7 +43,7 @@ CoalesceResult half_warp_result(const DeviceSpec& spec,
     for (int k = 0; k < n && pattern_ok; ++k) {
       if ((half_mask >> k & 1u) == 0) continue;
       const std::uint64_t lane_base =
-          addr[k] - static_cast<std::uint64_t>(k) * size;
+          std::uint64_t{addr[k]} - static_cast<std::uint64_t>(k) * size;
       if (!have_base) {
         base = lane_base;
         have_base = true;
@@ -88,8 +88,9 @@ CoalesceResult half_warp_result(const DeviceSpec& spec,
     if ((half_mask >> k & 1u) == 0) continue;
     // Segment of the first byte, and how far the last byte lies past that
     // segment's start (one division when the access stays in one segment).
-    const std::uint64_t first = addr[k] / min_txn;
-    const std::uint64_t reach = addr[k] % min_txn + size - 1;
+    const std::uint64_t a = addr[k];
+    const std::uint64_t first = a / min_txn;
+    const std::uint64_t reach = a % min_txn + size - 1;
     push_span(segs, nspans,
               {first, first + (reach < min_txn ? 0 : reach / min_txn)});
   }

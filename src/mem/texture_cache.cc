@@ -42,7 +42,7 @@ TextureCache::WarpResult TextureCache::access_warp(
   WarpResult r;
   for (int k = 0; k < row.lanes; ++k) {
     if ((row.mask >> k & 1u) == 0) continue;
-    if (access(row.addrs[k])) ++r.hits;
+    if (access(std::uint64_t{row.addrs[k]})) ++r.hits;
     else ++r.misses;
   }
   return r;

@@ -3,8 +3,7 @@
 namespace g80::prof {
 
 void Profiler::record_launch(std::string_view kernel_name,
-                             const DeviceSpec& spec, const LaunchStats& stats,
-                             std::uint64_t /*stream*/) {
+                             const DeviceSpec& spec, const LaunchStats& stats) {
   if (kernel_name.empty()) kernel_name = "kernel";
   const KernelCounters c = derive_counters(spec, stats);
   std::lock_guard<std::mutex> lk(mu_);
@@ -38,8 +37,7 @@ void Profiler::record_launch(std::string_view kernel_name,
 }
 
 void Profiler::record_transfer(bool h2d, std::uint64_t bytes,
-                               double modeled_seconds,
-                               std::uint64_t /*stream*/) {
+                               double modeled_seconds) {
   std::lock_guard<std::mutex> lk(mu_);
   if (h2d) {
     ++transfers_.h2d_count;

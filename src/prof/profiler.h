@@ -63,9 +63,8 @@ class Profiler {
  public:
   // Aggregates one finished launch under `kernel_name` ("" -> "kernel").
   void record_launch(std::string_view kernel_name, const DeviceSpec& spec,
-                     const LaunchStats& stats, std::uint64_t stream = 0);
-  void record_transfer(bool h2d, std::uint64_t bytes, double modeled_seconds,
-                       std::uint64_t stream = 0);
+                     const LaunchStats& stats);
+  void record_transfer(bool h2d, std::uint64_t bytes, double modeled_seconds);
 
   // Per-kernel profiles in first-launch order.
   std::vector<KernelProfile> kernels() const;

@@ -157,13 +157,13 @@ class Runtime {
     auto data = std::make_shared<std::vector<T>>(std::move(src));
     const std::uint64_t bytes = data->size() * sizeof(T);
     enqueue(s, TimelineEngine::kCopy, "h2d " + std::to_string(bytes) + " B",
-            [this, &dst, data, sid = s.id](std::vector<TimelineBlockSpan>&,
-                                           std::uint64_t&) -> double {
+            [this, &dst, data](std::vector<TimelineBlockSpan>&,
+                               std::uint64_t&) -> double {
               dst.copy_from_host(std::span<const T>(*data));
               const std::uint64_t n = data->size() * sizeof(T);
               const double secs = transfer_seconds(dev_.spec(), n, 1);
               if (profiler_ != nullptr)
-                profiler_->record_transfer(/*h2d=*/true, n, secs, sid);
+                profiler_->record_transfer(/*h2d=*/true, n, secs);
               return secs;
             });
   }
@@ -175,13 +175,12 @@ class Runtime {
                         const DeviceBuffer<T>& src) {
     enqueue(s, TimelineEngine::kCopy,
             "d2h " + std::to_string(src.bytes()) + " B",
-            [this, &dst, &src, sid = s.id](std::vector<TimelineBlockSpan>&,
-                                           std::uint64_t&) -> double {
+            [this, &dst, &src](std::vector<TimelineBlockSpan>&,
+                               std::uint64_t&) -> double {
               dst = src.copy_to_host();
               const double secs = transfer_seconds(dev_.spec(), src.bytes(), 1);
               if (profiler_ != nullptr)
-                profiler_->record_transfer(/*h2d=*/false, src.bytes(), secs,
-                                           sid);
+                profiler_->record_transfer(/*h2d=*/false, src.bytes(), secs);
               return secs;
             });
   }
@@ -191,8 +190,8 @@ class Runtime {
   // launch completes — read it only after synchronizing.  Unless the caller
   // supplied an explicit pool, blocks fan out across this runtime's pool.
   // The finished launch is recorded into the runtime's profiler and scope
-  // session (when set), keyed by LaunchOptions::kernel_name and tagged with
-  // this stream's id.
+  // session (when set), keyed by LaunchOptions::kernel_name; the scope
+  // record also carries this stream's id.
   template <class Kernel, class... Args>
   void launch_async(Stream s, Dim3 grid, Dim3 block, LaunchOptions opt,
                     LaunchStats* stats_out, const Kernel& kernel,
@@ -217,7 +216,7 @@ class Runtime {
               if (stats_out != nullptr) *stats_out = st;
               const double secs = st.total_seconds(dev_.spec());
               if (profiler_ != nullptr) {
-                profiler_->record_launch(o.kernel_name, dev_.spec(), st, sid);
+                profiler_->record_launch(o.kernel_name, dev_.spec(), st);
                 blocks = detail::wave_block_spans(dev_.spec(), st, secs);
               }
               // The record id tags this op's timeline span.

@@ -97,6 +97,8 @@ TraceSummary TraceSummary::summarize(const std::vector<BlockTrace>& blocks) {
     s.num_warps += b.warps.size();
     s.total += b.aggregate();
     s.regrouped_streams += b.regrouped_streams;
+    s.arena_row_bytes += b.arena_row_bytes;
+    s.site_lookups += b.site_lookups;
     merge_site_stats(s.sites, b.sites);
   }
   return s;

@@ -84,6 +84,10 @@ struct BlockTrace {
   // (warp, address space) streams whose lanes diverged positionally and were
   // regrouped into rows by (key, occurrence) (cudalite/trace_arena.h).
   std::uint64_t regrouped_streams = 0;
+  // Recorder work: bytes of the SoA rows the trace arena appended, and
+  // call-site lookups in its intern table.
+  std::uint64_t arena_row_bytes = 0;
+  std::uint64_t site_lookups = 0;
 
   WarpTrace aggregate() const;
 };
@@ -96,7 +100,10 @@ struct TraceSummary {
   // Per-call-site totals merged across blocks in sample order, so the result
   // is bit-identical whether blocks were traced sequentially or by a pool.
   std::vector<SiteStats> sites;
-  std::uint64_t regrouped_streams = 0;  // summed over the traced blocks
+  // Summed over the traced blocks; not part of any digest or report.
+  std::uint64_t regrouped_streams = 0;
+  std::uint64_t arena_row_bytes = 0;
+  std::uint64_t site_lookups = 0;
 
   static TraceSummary summarize(const std::vector<BlockTrace>& blocks);
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <type_traits>
 
 #include "common/error.h"
 #include "core/cpu_calibration.h"
@@ -75,6 +77,37 @@ TEST(Device, GlobalMemoryExhaustionThrows) {
   EXPECT_EQ(dev.get_last_error(), Status::kMemoryAllocation);
   // A failed allocation consumes no address space: a fitting one succeeds.
   EXPECT_NO_THROW(dev.alloc<float>(10'000));
+}
+
+// An element type whose construction shows that host storage was built.
+// Still trivially copyable, so a DeviceBuffer accepts it.
+struct NeverBuilt {
+  NeverBuilt() { throw std::logic_error("host storage built"); }
+  float v;
+};
+static_assert(std::is_trivially_copyable_v<NeverBuilt>);
+
+TEST(Device, AllocationPastThe32BitAddressSpaceRaises) {
+  DeviceSpec big = DeviceSpec::geforce_8800_gtx();
+  big.global_mem_bytes = 8ull << 30;
+  Device dev(big);
+  // 4 GiB fits the 8 GiB capacity, but from the 1 MiB base it would end
+  // past 2^32, where the trace arena's 32-bit addresses stop.
+  const std::size_t n = (4ull << 30) / sizeof(NeverBuilt);
+  try {
+    (void)dev.alloc<NeverBuilt>(n);
+    ADD_FAILURE() << "allocation past 2^32 succeeded";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status(), Status::kMemoryAllocation);
+  }
+  EXPECT_THROW(dev.alloc_texture<NeverBuilt>(n), StatusError);
+  EXPECT_EQ(dev.bytes_allocated(), 0u);
+  // Sticky: a later successful allocation leaves the status in place until
+  // it is read.
+  EXPECT_NO_THROW(dev.alloc<float>(16));
+  EXPECT_EQ(dev.peek_last_error(), Status::kMemoryAllocation);
+  EXPECT_EQ(dev.get_last_error(), Status::kMemoryAllocation);
+  EXPECT_EQ(dev.get_last_error(), Status::kSuccess);
 }
 
 TEST(Device, ZeroElementAllocationRejected) {

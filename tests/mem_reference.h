@@ -20,7 +20,7 @@ namespace g80::ref {
 struct Row {
   std::uint32_t mask = 0;
   std::uint32_t size = 4;
-  std::vector<std::uint64_t> addrs;
+  std::vector<std::uint32_t> addrs;
 
   SoaWarpAccess view() const {
     return {mask, size, addrs.data(), static_cast<int>(addrs.size())};

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "serve/cache.h"
@@ -15,12 +16,24 @@
 namespace g80::serve {
 namespace {
 
-std::string temp_dir() {
-  char tmpl[] = "/tmp/g80cacheXXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
+// A fresh directory under /tmp, removed with everything in it when the
+// guard goes out of scope.  Declare it before any cache that writes there.
+struct TempDir {
+  TempDir() {
+    char tmpl[] = "/tmp/g80cacheXXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    if (dir != nullptr) path = dir;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string path;
+};
 
 TEST(ResultCache, MissThenHit) {
   ResultCache cache(4);
@@ -62,7 +75,8 @@ TEST(ResultCache, StoreIsIdempotent) {
 }
 
 TEST(ResultCache, DiskTierSurvivesInstanceAndEviction) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path;
   std::string payload;
   {
     ResultCache cache(1, dir);
@@ -84,7 +98,8 @@ TEST(ResultCache, DiskTierSurvivesInstanceAndEviction) {
 }
 
 TEST(ResultCache, DiskFailureDegradesToMemoryAndRetriesOnRestore) {
-  const std::string parent = temp_dir();
+  const TempDir tmp;
+  const std::string& parent = tmp.path;
   // mkdir of the cache dir fails (ENOENT) until its parent exists.
   const std::string dir = parent + "/sub/cache";
   ResultCache cache(4, dir);
@@ -106,7 +121,8 @@ TEST(ResultCache, DiskFailureDegradesToMemoryAndRetriesOnRestore) {
 }
 
 TEST(ResultCache, PayloadBytesPreservedExactly) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path;
   // Payloads with every byte class the JSON writer can emit.
   const std::string payload =
       "{\"s\":\"\\u0001\\\"quoted\\\"\",\"n\":0.0131194973402,\"b\":true}";

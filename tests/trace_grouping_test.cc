@@ -4,6 +4,8 @@
 // (the LBM halo-load pattern that motivated the design).
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
@@ -118,6 +120,83 @@ TEST(TraceGrouping, BranchArmsAreSeparateInstructions) {
   EXPECT_EQ(s.trace.total.divergent_branches, 1u);
 }
 
+// A converged warp whose loop body alternates two load sites, as the
+// paper's matmul alternates its A and B loads.
+struct AlternatingSitesKernel {
+  int pairs = 0;
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& a,
+                  DeviceBuffer<float>& b) const {
+    auto A = ctx.global(a);
+    auto B = ctx.global(b);
+    const int i = ctx.global_thread_x();
+    float acc = 0.0f;
+    for (int r = 0; r < pairs; ++r) {
+      const std::size_t j = static_cast<std::size_t>(r) * 32 + i;
+      acc = ctx.add(acc, A.ld(j));
+      acc = ctx.add(acc, B.ld(j));
+    }
+  }
+};
+
+TEST(TraceGrouping, RecorderLooksEachSiteUpOncePerWarp) {
+  constexpr int kPairs = 8;
+  Device dev;
+  auto a = dev.alloc<float>(kPairs * 32);
+  auto b = dev.alloc<float>(kPairs * 32);
+  LaunchOptions opt;
+  opt.sample_blocks = 1;
+  const auto s = launch(dev, Dim3(1), Dim3(32), opt,
+                        AlternatingSitesKernel{kPairs}, a, b);
+  const std::uint64_t rows = 2 * kPairs;
+  EXPECT_EQ(s.trace.total.global_instructions, rows);
+  EXPECT_EQ(s.trace.regrouped_streams, 0u);
+  // One row: an 8 B key, a 4 B lane mask and 32 four-byte addresses.
+  EXPECT_EQ(s.trace.arena_row_bytes, rows * 140);
+  // Lane 0 opens every row and looks each of the two sites up once; the
+  // other 31 lanes join its rows and look nothing up.
+  EXPECT_EQ(s.trace.site_lookups, 2u);
+}
+
+// Lane 5 alone makes a second load.  It opens no row (row 1 is the store
+// lane 0 opened), so it diverges into overflow, and its site is noted by
+// no other lane.
+struct LoneLaneSiteKernel {
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& data,
+                  DeviceBuffer<float>& out) const {
+    auto D = ctx.global(data);
+    auto O = ctx.global(out);
+    const int i = ctx.global_thread_x();
+    float v = D.ld(i);
+    if (ctx.branch(i == 5)) v += D.ld(100);  // kLoneLine
+    O.st(i, v);
+  }
+  static constexpr std::uint32_t kLoneLine = __LINE__ - 3;
+};
+
+TEST(TraceGrouping, SiteOfADivergedLaneKeepsItsSourceLine) {
+  Device dev;
+  auto d = dev.alloc<float>(128);
+  auto o = dev.alloc<float>(32);
+  LaunchOptions opt;
+  opt.sample_blocks = 1;
+  const auto s = launch(dev, Dim3(1), Dim3(32), opt, LoneLaneSiteKernel{}, d, o);
+  EXPECT_EQ(s.trace.regrouped_streams, 1u);
+  ASSERT_EQ(s.trace.sites.size(), 3u);
+  int lone = 0;
+  for (const SiteStats& site : s.trace.sites) {
+    EXPECT_NE(site.line, 0u);
+    EXPECT_NE(std::string_view(site.file).find("trace_grouping_test"),
+              std::string_view::npos);
+    if (site.line == LoneLaneSiteKernel::kLoneLine) {
+      ++lone;
+      EXPECT_EQ(site.global_instructions, 1u);
+    }
+  }
+  EXPECT_EQ(lone, 1);
+}
+
 // Direct collector-level check with a hand-recorded arena.
 TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
   const auto spec = DeviceSpec::geforce_8800_gtx();
@@ -130,7 +209,7 @@ TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
   for (int k = 0; k < 32; ++k) {
     lanes[k].ops[OpClass::kLoadGlobal] = k == 3 ? 2 : 1;
     if (k == 3) global.record(k, 9, 4, false, 4096);
-    global.record(k, 7, 4, false, static_cast<std::uint64_t>(4 * k));
+    global.record(k, 7, 4, false, static_cast<std::uint32_t>(4 * k));
   }
 
   const auto block = collect_block_trace(spec, lanes, arena);

@@ -215,10 +215,10 @@ Phases random_program(std::mt19937& rng, int lane_count, bool divergent) {
       op.store = rng() % 3 == 0;
       op.arm_mask = static_cast<std::uint32_t>(rng());
       op.trip_mod = std::uniform_int_distribution<int>(1, 5)(rng);
-      const std::uint64_t base = (rng() % 4096) * 64;
+      const std::uint32_t base = (rng() % 4096) * 64;
       for (int k = 0; k < lane_count; ++k) {
         auto& seq = phase[static_cast<std::size_t>(k)];
-        const std::uint64_t addr = base + static_cast<std::uint64_t>(k) * 4;
+        const std::uint32_t addr = base + static_cast<std::uint32_t>(k) * 4;
         switch (op.kind) {
           case Op::kUniform:
             seq.push_back({addr, op.size, op.site, op.store});
@@ -232,7 +232,7 @@ Phases random_program(std::mt19937& rng, int lane_count, bool divergent) {
             break;
           case Op::kLoop:
             for (int t = 0; t <= k % op.trip_mod; ++t)
-              seq.push_back({addr + static_cast<std::uint64_t>(t) * 256,
+              seq.push_back({addr + static_cast<std::uint32_t>(t) * 256,
                              op.size, op.site, op.store});
             break;
           case Op::kMixedSize:
@@ -252,7 +252,7 @@ Phases random_program(std::mt19937& rng, int lane_count, bool divergent) {
 struct RefRow {
   std::uint64_t key = 0;
   std::uint32_t mask = 0;
-  std::vector<std::uint64_t> addrs;
+  std::vector<std::uint32_t> addrs;
 };
 
 std::vector<RefRow> reference_rows(
@@ -268,7 +268,7 @@ std::vector<RefRow> reference_rows(
           index.emplace(std::pair{id, occurrence[id]++}, rows.size());
       if (inserted) {
         rows.push_back({pack_trace_key(a.site, a.size, a.store), 0,
-                        std::vector<std::uint64_t>(
+                        std::vector<std::uint32_t>(
                             static_cast<std::size_t>(ws))});
       }
       rows[it->second].mask |= 1u << k;
@@ -295,14 +295,20 @@ TEST(ArenaOracle, RecordedStreamsReconstructAndGroupExactly) {
     WarpSpaceBatch& s = *arena.stream(0, kSpaceGlobal);
     std::vector<std::vector<MemAccess>> lanes(
         static_cast<std::size_t>(lane_count));
+    std::size_t not_joined = 0;  // accesses the recorder notes a site for
     for (const auto& phase : phases) {
       for (int k = 0; k < lane_count; ++k) {
         for (const MemAccess& a : phase[static_cast<std::size_t>(k)]) {
-          s.record(k, a.site, a.size, a.store, a.addr);
+          not_joined += !s.record(k, a.site, a.size, a.store, a.addr);
           lanes[static_cast<std::size_t>(k)].push_back(a);
         }
       }
     }
+    // record() reports a join exactly when the access claimed a row another
+    // lane opened: every other access opened a row or went to overflow.
+    std::size_t overflowed = 0;
+    for (const auto& o : s.overflow) overflowed += o.size();
+    EXPECT_EQ(not_joined, s.rows() + overflowed) << "it=" << it;
 
     // reconstruct_lane(k) is exactly lane k's input.
     std::vector<MemAccess> got;
