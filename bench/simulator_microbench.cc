@@ -127,19 +127,17 @@ BENCHMARK(BM_FunctionalLaunch)->Arg(16)->Arg(256);
 void BM_RecorderManySites(benchmark::State& state) {
   const int sites = static_cast<int>(state.range(0));
   constexpr int kAccesses = 4096;
-  LaneTrace lane;
   TraceArena arena;
   const std::source_location loc = std::source_location::current();
   for (auto _ : state) {
-    lane.clear();
     arena.begin_block(kSpec, 32);
-    LaneRecorder rec(&lane, arena, 0);
+    LaneRecorder rec(arena, 0);
     for (int i = 0; i < kAccesses; ++i) {
       const auto site = static_cast<std::uint32_t>(i % sites) + 1;
       rec.mem(OpClass::kLoadGlobal, static_cast<std::uint64_t>(i) * 4, 4,
               site, loc);
     }
-    benchmark::DoNotOptimize(lane.site_notes.data());
+    benchmark::DoNotOptimize(arena.site_note(1));
   }
   state.SetItemsProcessed(state.iterations() * kAccesses);
 }

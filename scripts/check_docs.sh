@@ -7,7 +7,10 @@
 #      names a bench target that actually exists in bench/CMakeLists.txt, and
 #   3. every `opt.<field>` in README.md or docs/*.md, and every
 #      `LaunchOptions::<field>` there or in src/**/*.h, names a field
-#      declared in `struct LaunchOptions` (src/cudalite/launch.h).
+#      declared in `struct LaunchOptions` (src/cudalite/launch.h), and
+#   4. every backticked source path with a `/` that ends in .h, .cc or .S
+#      (optionally `:line` or `:line-line`) in README.md, DESIGN.md or
+#      docs/*.md names a file under the repo root or under src/.
 #
 # Usage: scripts/check_docs.sh    (from anywhere; paths resolve to the repo)
 set -euo pipefail
@@ -80,8 +83,21 @@ while IFS= read -r header; do
   check_fields "$header" 'LaunchOptions::[a-z_][a-z0-9_]*'
 done < <(find "$repo/src" -name '*.h' -type f | sort)
 
+# --- 4. documented source paths exist -----------------------------------------
+for doc in "$repo"/README.md "$repo"/DESIGN.md "$repo"/docs/*.md; do
+  while IFS= read -r path; do
+    file="${path%%:*}"
+    if [ ! -f "$repo/$file" ] && [ ! -f "$repo/src/$file" ]; then
+      echo "MISSING SOURCE: ${doc#"$repo"/} names '$path', which is no file" \
+           "under the repo root or src/"
+      fail=1
+    fi
+  done < <(grep -oE '`[A-Za-z0-9_./-]*/[A-Za-z0-9_.-]+\.(h|cc|S)(:[0-9]+((-|–)[0-9]+)?)?`' \
+             "$doc" | tr -d '`' | sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: all documentation links, bench targets and LaunchOptions fields resolve"
+echo "check_docs: all documentation links, bench targets, LaunchOptions fields and source paths resolve"

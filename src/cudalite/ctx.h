@@ -45,8 +45,8 @@ template <class Recorder>
 class Ctx;
 
 // Static-instruction identity: a stable hash of the call site of a memory
-// access or branch, used to reconstruct warp-level instructions from
-// per-lane traces (see lane_trace.h).
+// access, branch or barrier, used to line lanes up into warp-level
+// instructions (see trace_arena.h).
 inline std::uint32_t site_id(const std::source_location& loc) {
   const auto file = reinterpret_cast<std::uintptr_t>(loc.file_name());
   return static_cast<std::uint32_t>(

@@ -190,8 +190,10 @@ class Device {
                 std::to_string(constant_used_) + " B already used exceeds the " +
                 std::to_string(kConstantSpaceBytes) + " B constant space");
     }
+    // Charge the constant space only once global space has taken the range.
+    const std::uint64_t addr = allocate_range(bytes);
     constant_used_ += bytes;
-    return ConstantBuffer<T>(this, allocate_range(bytes), n);
+    return ConstantBuffer<T>(this, addr, n);
   }
 
   template <class T>

@@ -326,8 +326,8 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
 
   try {
     // ---- Trace pass ----
-    // Each sampled block is traced into its own slot-private lane buffers
-    // and analyzed (coalescing / bank conflicts / constant broadcast /
+    // Each sampled block is traced into its slot's private TraceArena and
+    // analyzed (coalescing / bank conflicts / constant broadcast /
     // texture cache) into a self-contained BlockTrace, stored by sample
     // index.  The merge therefore happens in sample order no matter which
     // worker finished first, keeping TraceSummary bit-identical to the
@@ -336,24 +336,19 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
         detail::pick_sample_blocks(total_blocks, sample_blocks);
     if (!samples.empty()) {
       std::vector<BlockTrace> traces(samples.size());
-      std::vector<std::vector<LaneTrace>> slot_lanes(
-          static_cast<std::size_t>(slots));
       // Each slot owns a TraceArena whose SoA row capacity carries across
       // the blocks it traces, so steady-state recording allocates nothing.
       std::vector<TraceArena> slot_arenas(static_cast<std::size_t>(slots));
       detail::for_each_block(
           pool, samples.size(),
           [&](int slot, std::uint64_t i) {
-            auto& lanes = slot_lanes[static_cast<std::size_t>(slot)];
-            lanes.resize(static_cast<std::size_t>(threads));
-            for (auto& l : lanes) l.clear();
             auto& arena = slot_arenas[static_cast<std::size_t>(slot)];
             arena.begin_block(spec, threads);
             runners.run_block(slot, samples[i], [&](BlockEnv& env, int tid) {
-              TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], arena, tid));
+              TraceCtx ctx(&env, tid, LaneRecorder(arena, tid));
               kernel(ctx, args...);
             });
-            traces[i] = collect_block_trace(spec, lanes, arena);
+            traces[i] = collect_block_trace(spec, arena);
           },
           cancel);
       stats.smem_per_block = runners.smem_bytes_used();

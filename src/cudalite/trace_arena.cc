@@ -13,7 +13,15 @@ namespace g80 {
 
 void SiteInterner::clear() {
   std::fill(slots_.begin(), slots_.end(), kEmpty);
-  count_ = 0;
+  notes_.clear();
+}
+
+std::size_t SiteInterner::probe(std::uint32_t site) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = (std::uint64_t{site} * 0x9e3779b97f4a7c15ull) & mask;
+  while (slots_[i] != kEmpty && static_cast<std::uint32_t>(slots_[i]) != site)
+    i = (i + 1) & mask;
+  return i;
 }
 
 void SiteInterner::grow() {
@@ -21,25 +29,22 @@ void SiteInterner::grow() {
   std::vector<std::uint64_t> old = std::move(slots_);
   slots_.assign(cap, kEmpty);
   for (const std::uint64_t v : old) {
-    if (v == kEmpty) continue;
-    std::size_t i = (v * 0x9e3779b97f4a7c15ull) & (cap - 1);
-    while (slots_[i] != kEmpty) i = (i + 1) & (cap - 1);
-    slots_[i] = v;
+    if (v != kEmpty) slots_[probe(static_cast<std::uint32_t>(v))] = v;
   }
 }
 
-bool SiteInterner::insert(std::uint32_t site) {
-  if (slots_.empty() || count_ * 10 >= slots_.size() * 7) grow();
-  const std::uint64_t v = site;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = (v * 0x9e3779b97f4a7c15ull) & mask;
-  while (slots_[i] != kEmpty) {
-    if (slots_[i] == v) return false;
-    i = (i + 1) & mask;
-  }
-  slots_[i] = v;
-  ++count_;
-  return true;
+void SiteInterner::insert(const SiteNote& note) {
+  if (slots_.empty() || notes_.size() * 10 >= slots_.size() * 7) grow();
+  std::uint64_t& slot = slots_[probe(note.site)];
+  if (slot != kEmpty) return;
+  slot = note.site | static_cast<std::uint64_t>(notes_.size()) << 32;
+  notes_.push_back(note);
+}
+
+const SiteNote* SiteInterner::find(std::uint32_t site) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint64_t slot = slots_[probe(site)];
+  return slot == kEmpty ? nullptr : &notes_[slot >> 32];
 }
 
 // ---------------------------------------------------------------------------
@@ -101,6 +106,7 @@ void TraceArena::begin_block(const DeviceSpec& spec, int num_lanes) {
       static_cast<std::size_t>(num_warps_) * kNumTraceSpaces;
   if (streams_.size() < need) streams_.resize(need);
   for (std::size_t i = 0; i < need; ++i) streams_[i].reset(warp_size_);
+  lanes_.assign(static_cast<std::size_t>(num_lanes), LaneCounts{});
   sites_.clear();
   site_lookups_ = 0;
 }

@@ -1,28 +1,35 @@
-// Arena-backed SoA trace storage: the trace pass records every memory access
-// here.
+// Arena-backed SoA trace storage: the trace pass records every memory
+// access, branch outcome and barrier here, plus each lane's instruction
+// counts.
 //
-// Grouping per-lane access streams into warp-level instructions after the
-// block (by (site, occurrence), with per-access hash lookups) would dominate
-// traced wall time.  The arena avoids it by exploiting one structural fact
-// of the BlockRunner's scheduling pass: it runs the lanes of a warp in
-// thread-index order, and within a converged warp every lane executes the
-// same instruction sequence between barriers.  So the arena reconstructs
-// each warp-level memory instruction *positionally while recording*:
+// Grouping per-lane streams into warp-level instructions after the block
+// (by (site, occurrence), with per-event hash lookups) would dominate traced
+// wall time.  The arena avoids it by exploiting one structural fact of the
+// BlockRunner's scheduling pass: it runs the lanes of a warp in thread-index
+// order, and within a converged warp every lane executes the same
+// instruction sequence between barriers.  So the arena reconstructs each
+// warp-level instruction *positionally while recording*:
 //
-//   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with
-//     one row per warp-level instruction — a packed static key
+//   - Each (warp, stream) pair owns a WarpSpaceBatch: SoA columns with one
+//     row per warp-level instruction — a packed static key
 //     (site | size | store), an active-lane mask, and a lane-striped column
-//     of 32-bit device addresses (G80 addresses fit: Device::allocate_range
-//     refuses any range that would end past 2^32, and shared offsets are
-//     under 16 KiB).  A 32-lane row is 8 + 4 + 32 * 4 = 140 bytes.
+//     of 32-bit values.  A 32-lane row is 8 + 4 + 32 * 4 = 140 bytes.
+//   - Four streams are memory spaces; a lane's value is the access's device
+//     address (G80 addresses fit: Device::allocate_range refuses any range
+//     that would end past 2^32, and shared offsets are under 16 KiB).
+//   - Two streams are control flow: kSpaceBranch holds one row per
+//     warp-level conditional branch, each lane's value being its outcome
+//     (0 or 1); kSpaceSync holds one row per warp-level bar.sync (value 0).
+//     Their keys have size 0, which no memory access has (a sizeof() is at
+//     least 1), so a control key never equals a memory key.
 //   - The first lane to reach position j appends row j; every later lane
-//     whose j-th access carries the same static key claims its mask bit and
-//     address slot with a single compare — no hashing, no per-access
+//     whose j-th event carries the same static key claims its mask bit and
+//     value slot with a single compare — no hashing, no per-event
 //     allocation (row capacity is reused across the blocks a slot traces).
 //   - Only the lane that opens a row (or records to overflow) looks its
 //     call site up in the block's intern table: a lane that joins row j
 //     uses the site row j's creator already interned.
-//   - A lane whose j-th access does NOT match row j has diverged from the
+//   - A lane whose j-th event does NOT match row j has diverged from the
 //     warp's common instruction stream.  It permanently falls back to a
 //     per-lane overflow vector and the stream is marked dirty; the collector
 //     then regroups the exact per-lane sequences (prefix rows + overflow)
@@ -32,10 +39,12 @@
 // Instruction identity is (key, occurrence of that key in the lane).  Why
 // positional matching is exact for clean streams: every lane's matched rows
 // form a prefix [0, cursor), so row j groups exactly the lanes whose j-th
-// access it is, the shared key prefix makes (key, occurrence) of position j
-// identical across lanes, and first-appearance order equals row order.
-// tests/trace_oracle_test.cc checks clean rows and regrouped dirty streams
-// against a reference grouping.
+// event it is, the shared key prefix makes (key, occurrence) of position j
+// identical across lanes, and first-appearance order equals row order.  The
+// same holds per stream, so a branch row is one dynamic warp branch and the
+// rows of a sync stream at one site number the most times any lane of the
+// warp crossed it.  tests/trace_oracle_test.cc checks clean rows and
+// regrouped dirty streams, memory and control, against reference groupings.
 #pragma once
 
 #include <array>
@@ -48,14 +57,17 @@
 namespace g80 {
 
 // ---------------------------------------------------------------------------
-// Address spaces the recorder batches (dense index into TraceArena streams).
+// Streams the recorder batches per warp (dense index into TraceArena
+// streams): the four address spaces, then branches and barriers.
 // ---------------------------------------------------------------------------
 
-inline constexpr int kNumTraceSpaces = 4;
+inline constexpr int kNumTraceSpaces = 6;
 inline constexpr int kSpaceGlobal = 0;
 inline constexpr int kSpaceShared = 1;
 inline constexpr int kSpaceConst = 2;
 inline constexpr int kSpaceTexture = 3;
+inline constexpr int kSpaceBranch = 4;
+inline constexpr int kSpaceSync = 5;
 
 // OpClass -> batch space (-1: not a recorded memory access).
 constexpr int trace_space_of(OpClass c) {
@@ -71,8 +83,9 @@ constexpr int trace_space_of(OpClass c) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed static identity of one warp-level memory instruction.  `size` is a
-// sizeof(), so bits 32..62 always hold it; bit 63 carries the direction.
+// Packed static identity of one warp-level instruction.  `size` is a
+// sizeof() for a memory access (so bits 32..62 always hold it) and 0 for a
+// branch or barrier; bit 63 carries a memory access's direction.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t pack_trace_key(std::uint32_t site, std::uint32_t size,
@@ -89,8 +102,10 @@ constexpr std::uint32_t trace_key_size(std::uint64_t key) {
 }
 constexpr bool trace_key_store(std::uint64_t key) { return (key >> 63) != 0; }
 
-// One recorded access of a lane that left its warp's positional stream (the
-// overflow record), and the unit of a reconstructed lane sequence.
+// One recorded event of a lane that left its warp's positional stream (the
+// overflow record), and the unit of a reconstructed lane sequence.  On a
+// control stream `addr` is the lane's value (a branch outcome) and `size`
+// is 0.
 struct MemAccess {
   std::uint32_t addr = 0;  // byte address in the access's address space
   std::uint32_t size = 4;  // access width in bytes (a sizeof())
@@ -98,30 +113,43 @@ struct MemAccess {
   bool store = false;      // direction, for the gld_*/gst_* counter split
 };
 
+// Source position of one recorder call site, kept from the site's first
+// use in a block so the collector can translate site hashes back to
+// file:line for attribution.  `file` is std::source_location's static
+// string; no ownership.
+struct SiteNote {
+  std::uint32_t site = 0;
+  const char* file = "";
+  std::uint32_t line = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Block-level open-addressing site intern table: O(1) "first use this
-// block?" queries replacing note_site's per-lane linear scan.  Keys are the
-// recorder's 32-bit site hashes; capacity persists across blocks.
+// block?" queries, and each site's note beside it.  Keys are the recorder's
+// 32-bit site hashes; capacity persists across blocks.
 // ---------------------------------------------------------------------------
 
 class SiteInterner {
  public:
   // Resets to empty, keeping table capacity.
   void clear();
-  // Returns true iff `site` was not in the table (and inserts it).
-  bool insert(std::uint32_t site);
-  std::size_t size() const { return count_; }
+  // Inserts `note.site` with `note`, unless the table already holds it.
+  void insert(const SiteNote& note);
+  // The note `site` was inserted with, or nullptr.
+  const SiteNote* find(std::uint32_t site) const;
 
  private:
   static constexpr std::uint64_t kEmpty = ~0ull;
+  // Slot of `site`: where it sits, or the empty slot it would take.
+  std::size_t probe(std::uint32_t site) const;
   void grow();
 
-  std::vector<std::uint64_t> slots_;
-  std::size_t count_ = 0;
+  std::vector<std::uint64_t> slots_;  // site | (index into notes_) << 32
+  std::vector<SiteNote> notes_;       // in insertion order
 };
 
 // ---------------------------------------------------------------------------
-// One (warp, space) instruction stream.
+// One (warp, stream) instruction stream.
 // ---------------------------------------------------------------------------
 
 struct WarpSpaceBatch {
@@ -131,6 +159,7 @@ struct WarpSpaceBatch {
   std::vector<std::uint64_t> keys;   // pack_trace_key(site, size, store)
   std::vector<std::uint32_t> masks;  // bit s: lane s recorded this row
   std::vector<std::uint32_t> addrs;  // row-major, `stride` slots per row
+                                     // (address, or a branch's outcome)
 
   int stride = kMaxLanes;  // lanes per row (= warp size)
   // Next row index per lane; matched rows always form the prefix [0, cursor).
@@ -182,7 +211,8 @@ struct WarpSpaceBatch {
         return true;
       }
       // This lane left the warp's common stream: record it (and everything
-      // it does from now on in this space) per-lane; the collector regroups.
+      // it does from now on in this stream) per-lane; the collector
+      // regroups.
       diverged |= bit;
       overflow[sub].push_back({addr, size, site, store});
       return false;
@@ -218,9 +248,16 @@ struct WarpSpaceBatch {
 };
 
 // ---------------------------------------------------------------------------
-// Per-block arena: one WarpSpaceBatch per (warp, space) plus the site intern
-// table.  One arena per worker slot; all capacity is reused block-to-block.
+// Per-block arena: one WarpSpaceBatch per (warp, stream), each lane's
+// instruction counts, and the site intern table.  One arena per worker
+// slot; all capacity is reused block-to-block.
 // ---------------------------------------------------------------------------
+
+// One lane's dynamic instruction-class counts and flops.
+struct LaneCounts {
+  OpCounts ops;
+  double flops = 0;
+};
 
 class TraceArena {
  public:
@@ -236,6 +273,7 @@ class TraceArena {
 
   int warp_size() const { return warp_size_; }
   int num_warps() const { return num_warps_; }
+  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
   WarpSpaceBatch* stream(int warp, int space) {
     return &streams_[static_cast<std::size_t>(warp) * kNumTraceSpaces + space];
@@ -244,10 +282,22 @@ class TraceArena {
     return streams_[static_cast<std::size_t>(warp) * kNumTraceSpaces + space];
   }
 
-  // O(1) note_site support: true iff this block has not seen `site` yet.
-  bool intern_site(std::uint32_t site) {
+  LaneCounts* lane(int lane_id) {
+    return &lanes_[static_cast<std::size_t>(lane_id)];
+  }
+  const LaneCounts& lane(int lane_id) const {
+    return lanes_[static_cast<std::size_t>(lane_id)];
+  }
+
+  // O(1) note_site support: keeps `note` for site_note() if this block has
+  // not seen `note.site` yet.
+  void intern_site(const SiteNote& note) {
     ++site_lookups_;
-    return sites_.insert(site);
+    sites_.insert(note);
+  }
+  // The note `site` was first interned with this block, or nullptr.
+  const SiteNote* site_note(std::uint32_t site) const {
+    return sites_.find(site);
   }
 
   // Exact work counters of the block recorded so far: intern-table lookups,
@@ -257,6 +307,7 @@ class TraceArena {
 
  private:
   std::vector<WarpSpaceBatch> streams_;
+  std::vector<LaneCounts> lanes_;
   SiteInterner sites_;
   std::uint64_t site_lookups_ = 0;
   int warp_size_ = 0;

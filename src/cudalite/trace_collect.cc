@@ -1,7 +1,6 @@
 #include "cudalite/trace_collect.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -15,26 +14,11 @@ namespace g80 {
 
 namespace {
 
-// Key of one warp-level dynamic branch: the static call site plus the
-// per-lane occurrence index at that site.
-struct InstKey {
-  std::uint32_t site = 0;
-  std::uint32_t occurrence = 0;
-  bool operator==(const InstKey&) const = default;
-};
-
-struct InstKeyHash {
-  std::size_t operator()(const InstKey& k) const {
-    return (static_cast<std::size_t>(k.site) << 20) ^ k.occurrence;
-  }
-};
-
 // Per-site accumulator for the g80scope attribution (few distinct sites per
 // kernel; linear probing is cheaper than hashing here).
 class SiteAccumulator {
  public:
-  explicit SiteAccumulator(const std::vector<LaneTrace>& lanes)
-      : lanes_(lanes) {}
+  explicit SiteAccumulator(const TraceArena& arena) : arena_(arena) {}
 
   SiteStats& at(std::uint32_t site) {
     for (SiteStats& s : sites_) {
@@ -42,15 +26,9 @@ class SiteAccumulator {
     }
     SiteStats s;
     s.site = site;
-    for (const LaneTrace& lane : lanes_) {
-      for (const SiteNote& n : lane.site_notes) {
-        if (n.site == site) {
-          s.file = n.file;
-          s.line = n.line;
-          break;
-        }
-      }
-      if (s.line != 0) break;
+    if (const SiteNote* n = arena_.site_note(site)) {
+      s.file = n->file;
+      s.line = n->line;
     }
     sites_.push_back(s);
     return sites_.back();
@@ -59,7 +37,7 @@ class SiteAccumulator {
   std::vector<SiteStats> take() { return std::move(sites_); }
 
  private:
-  const std::vector<LaneTrace>& lanes_;
+  const TraceArena& arena_;
   std::vector<SiteStats> sites_;
 };
 
@@ -131,7 +109,7 @@ void accumulate_texture(const DeviceSpec& spec, WarpTrace& wt,
   }
 }
 
-// Feeds one (warp, space) stream's warp-level instructions, in
+// Feeds one per-warp stream's warp-level instructions, in
 // first-appearance order, to `on_row(key, row)`.  A clean stream's rows ARE
 // that sequence; a dirty (positionally diverged) stream is regrouped into
 // `scratch` first.  Returns whether it regrouped.
@@ -153,16 +131,15 @@ bool for_each_instruction(const WarpSpaceBatch& s, int lane_count,
 }  // namespace
 
 BlockTrace collect_block_trace(const DeviceSpec& spec,
-                               const std::vector<LaneTrace>& lanes,
                                const TraceArena& arena) {
-  G80_CHECK(!lanes.empty());
   const int ws = spec.warp_size;
-  const int num_warps = (static_cast<int>(lanes.size()) + ws - 1) / ws;
-  G80_CHECK(arena.warp_size() == ws && arena.num_warps() == num_warps);
+  const int num_lanes = arena.num_lanes();
+  const int num_warps = arena.num_warps();
+  G80_CHECK(num_lanes > 0 && arena.warp_size() == ws);
 
   BlockTrace block;
   block.warps.resize(num_warps);
-  SiteAccumulator sites(lanes);
+  SiteAccumulator sites(arena);
   WarpSpaceBatch scratch;  // dirty-stream regrouping
 
   // One texture cache per block approximates the per-SM cache shared by the
@@ -173,42 +150,34 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
   for (int w = 0; w < num_warps; ++w) {
     WarpTrace& wt = block.warps[w];
     const int lo = w * ws;
-    const int hi = std::min<int>(lo + ws, static_cast<int>(lanes.size()));
+    const int hi = std::min(lo + ws, num_lanes);
+    const int lane_count = hi - lo;
 
     // --- Instruction counts: per-class max over lanes (exact when the warp
-    // is divergence-free; see lane_trace.h). ---
+    // is divergence-free). ---
     for (std::size_t c = 0; c < kNumOpClasses; ++c) {
       std::uint64_t mx = 0;
       for (int k = lo; k < hi; ++k)
-        mx = std::max(mx, lanes[k].ops.counts[c]);
+        mx = std::max(mx, arena.lane(k).ops.counts[c]);
       wt.ops.counts[c] = mx;
     }
-    for (int k = lo; k < hi; ++k) wt.lane_flops += lanes[k].flops;
+    for (int k = lo; k < hi; ++k) wt.lane_flops += arena.lane(k).flops;
 
-    // --- Branch divergence: group outcomes by (site, occurrence) ---
-    {
-      std::unordered_map<InstKey, std::pair<bool, bool>, InstKeyHash> seen;
-      std::vector<InstKey> order;
-      std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
-      for (int k = lo; k < hi; ++k) {
-        occurrence.clear();
-        for (const BranchEvent& b : lanes[k].branches) {
-          const InstKey key{b.site, occurrence[b.site]++};
-          auto [it, inserted] = seen.emplace(key, std::pair{false, false});
-          if (inserted) order.push_back(key);
-          (b.taken ? it->second.first : it->second.second) = true;
-        }
-      }
-      wt.branches += order.size();
-      for (const auto& key : order) {
-        const auto& [taken, not_taken] = seen.at(key);
-        if (taken && not_taken) ++wt.divergent_branches;
-      }
-    }
+    // --- Branch divergence: one row per warp-level branch, divergent when
+    // its active lanes hold both outcomes. ---
+    int regrouped = for_each_instruction(
+        arena.stream(w, kSpaceBranch), lane_count, scratch,
+        [&](std::uint64_t, const SoaWarpAccess& row) {
+          std::uint32_t taken = 0;
+          for (int k = 0; k < row.lanes; ++k)
+            taken |= (row.addrs[k] != 0 ? 1u : 0u) << k;
+          taken &= row.mask;
+          ++wt.branches;
+          if (taken != 0 && taken != row.mask) ++wt.divergent_branches;
+        });
 
     // --- Global memory: coalescing per warp-level instruction ---
-    const int lane_count = hi - lo;
-    int regrouped = for_each_instruction(
+    regrouped += for_each_instruction(
         arena.stream(w, kSpaceGlobal), lane_count, scratch,
         [&](std::uint64_t key, const SoaWarpAccess& row) {
           accumulate_global(wt, sites, trace_key_site(key),
@@ -239,26 +208,15 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
           accumulate_texture(spec, wt, sites, trace_key_site(key), res.hits,
                              res.misses);
         });
-    block.regrouped_streams += static_cast<std::uint64_t>(regrouped);
 
-    // --- Barriers: warp-level count per call site (max over lanes, the same
-    // convention as the per-class instruction counts above). ---
-    {
-      std::unordered_map<std::uint32_t, std::uint64_t> warp_syncs;
-      std::unordered_map<std::uint32_t, std::uint64_t> lane_syncs;
-      for (int k = lo; k < hi; ++k) {
-        lane_syncs.clear();
-        for (const std::uint32_t site : lanes[k].sync_sites) {
-          ++lane_syncs[site];
-        }
-        for (const auto& [site, n] : lane_syncs) {
-          warp_syncs[site] = std::max(warp_syncs[site], n);
-        }
-      }
-      for (const auto& [site, n] : warp_syncs) {
-        sites.at(site).syncs += n;
-      }
-    }
+    // --- Barriers: one row per warp-level bar.sync, so a site's rows number
+    // the most times any lane of the warp crossed it. ---
+    regrouped += for_each_instruction(
+        arena.stream(w, kSpaceSync), lane_count, scratch,
+        [&](std::uint64_t key, const SoaWarpAccess&) {
+          ++sites.at(trace_key_site(key)).syncs;
+        });
+    block.regrouped_streams += static_cast<std::uint64_t>(regrouped);
   }
   block.arena_row_bytes = arena.row_bytes();
   block.site_lookups = arena.site_lookups();

@@ -81,8 +81,9 @@ struct BlockTrace {
   std::vector<WarpTrace> warps;
   // Per-call-site attribution, ordered by (file, line, site).
   std::vector<SiteStats> sites;
-  // (warp, address space) streams whose lanes diverged positionally and were
-  // regrouped into rows by (key, occurrence) (cudalite/trace_arena.h).
+  // Per-warp streams (address spaces, branches, barriers) whose lanes
+  // diverged positionally and were regrouped into rows by (key, occurrence)
+  // (cudalite/trace_arena.h).
   std::uint64_t regrouped_streams = 0;
   // Recorder work: bytes of the SoA rows the trace arena appended, and
   // call-site lookups in its intern table.

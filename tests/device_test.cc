@@ -110,6 +110,29 @@ TEST(Device, AllocationPastThe32BitAddressSpaceRaises) {
   EXPECT_EQ(dev.get_last_error(), Status::kSuccess);
 }
 
+// A constant allocation that global space refuses uses up no constant
+// space either.
+TEST(Device, RefusedConstantAllocationLeavesConstantSpace) {
+  DeviceSpec small = DeviceSpec::geforce_8800_gtx();
+  small.global_mem_bytes = 64 << 10;
+  Device dev(small);
+  (void)dev.alloc_constant<float>(10);   // 40 B of constant space
+  (void)dev.alloc<float>(15 << 10);      // 60 KiB: under 4 KiB stays free
+  const auto constant_alloc_status = [&](std::size_t bytes) {
+    try {
+      (void)dev.alloc_constant<float>(bytes / sizeof(float));
+    } catch (const StatusError& e) {
+      return e.status();
+    }
+    return Status::kSuccess;
+  };
+  EXPECT_EQ(constant_alloc_status(32 << 10), Status::kMemoryAllocation);
+  // Only 40 B of the 64 KiB constant space is in use, so global space, not
+  // the constant budget, refuses the same request again.
+  EXPECT_EQ(constant_alloc_status(32 << 10), Status::kMemoryAllocation);
+  EXPECT_EQ(constant_alloc_status(1 << 10), Status::kSuccess);
+}
+
 TEST(Device, ZeroElementAllocationRejected) {
   Device dev;
   EXPECT_THROW(dev.alloc<float>(0), StatusError);

@@ -3,12 +3,17 @@
 // std::set distinct counts.  The analyzers in src/mem read SoA rows and
 // count with interval unions; tests/trace_oracle_test.cc holds them to these
 // rules number for number on random rows (one width per row, as the arena
-// produces them).
+// produces them).  The same file keeps the reference warp-level branch and
+// barrier counts, grouped from per-lane event lists by hash maps, that the
+// collector's control-stream rows must reproduce.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hw/device_spec.h"
@@ -215,6 +220,60 @@ inline WarpPasses analyze_shared_warp(const DeviceSpec& spec,
 inline WarpPasses analyze_const_warp(const DeviceSpec& spec,
                                      const Warp& warp) {
   return warp_passes(spec, warp, analyze_const_half_warp);
+}
+
+// ---- Branches and barriers -------------------------------------------------
+
+struct BranchEvent {
+  std::uint32_t site = 0;
+  bool taken = false;
+};
+
+// One lane's control events: its branch outcomes and the bar.sync call
+// sites it crossed, each in execution order.
+struct LaneControl {
+  std::vector<BranchEvent> branches;
+  std::vector<std::uint32_t> syncs;
+};
+
+struct WarpControl {
+  std::uint64_t branches = 0;
+  std::uint64_t divergent_branches = 0;
+  std::map<std::uint32_t, std::uint64_t> syncs;  // per bar.sync site
+};
+
+// One warp-level branch per (site, occurrence of the site in the lane);
+// divergent when the lanes that executed it disagree.  Barriers count per
+// site as the most times any lane crossed it.
+inline WarpControl warp_control(const LaneControl* lanes, int lane_count) {
+  struct InstKey {
+    std::uint32_t site = 0;
+    std::uint32_t occurrence = 0;
+    bool operator==(const InstKey&) const = default;
+  };
+  struct InstKeyHash {
+    std::size_t operator()(const InstKey& k) const {
+      return (static_cast<std::size_t>(k.site) << 20) ^ k.occurrence;
+    }
+  };
+  std::unordered_map<InstKey, std::pair<bool, bool>, InstKeyHash> seen;
+  WarpControl r;
+  for (int k = 0; k < lane_count; ++k) {
+    std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
+    for (const BranchEvent& b : lanes[k].branches) {
+      auto& [taken, not_taken] =
+          seen[InstKey{b.site, occurrence[b.site]++}];
+      (b.taken ? taken : not_taken) = true;
+    }
+    std::map<std::uint32_t, std::uint64_t> lane_syncs;
+    for (const std::uint32_t site : lanes[k].syncs) ++lane_syncs[site];
+    for (const auto& [site, n] : lane_syncs)
+      r.syncs[site] = std::max(r.syncs[site], n);
+  }
+  r.branches = seen.size();
+  for (const auto& [key, outcomes] : seen)
+    r.divergent_branches += outcomes.first && outcomes.second;
+  return r;
 }
 
 }  // namespace g80::ref

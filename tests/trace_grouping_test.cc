@@ -200,19 +200,18 @@ TEST(TraceGrouping, SiteOfADivergedLaneKeepsItsSourceLine) {
 // Direct collector-level check with a hand-recorded arena.
 TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
   const auto spec = DeviceSpec::geforce_8800_gtx();
-  std::vector<LaneTrace> lanes(32);
   TraceArena arena;
   arena.begin_block(spec, 32);
   WarpSpaceBatch& global = *arena.stream(0, kSpaceGlobal);
   // All lanes: one access at site 7, perfectly coalesced.  Lane 3 first
   // makes an extra access at site 9, which diverges it from the stream.
   for (int k = 0; k < 32; ++k) {
-    lanes[k].ops[OpClass::kLoadGlobal] = k == 3 ? 2 : 1;
+    arena.lane(k)->ops[OpClass::kLoadGlobal] = k == 3 ? 2 : 1;
     if (k == 3) global.record(k, 9, 4, false, 4096);
     global.record(k, 7, 4, false, static_cast<std::uint32_t>(4 * k));
   }
 
-  const auto block = collect_block_trace(spec, lanes, arena);
+  const auto block = collect_block_trace(spec, arena);
   ASSERT_EQ(block.warps.size(), 1u);
   const auto& w = block.warps[0];
   EXPECT_EQ(w.global_instructions, 2u);

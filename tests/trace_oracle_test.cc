@@ -9,7 +9,12 @@
 //    WarpSpaceBatch::record in thread order must come back out exactly:
 //    reconstruct_lane(k) is lane k's input, and the rows the analyzers read
 //    (a clean stream's own rows, a dirty stream's regroup) are the
-//    reference (key, occurrence) grouping of the inputs.
+//    reference (key, occurrence) grouping of the inputs.  The key space
+//    includes width 0, the width of the control streams' keys.
+//  - Control streams: random per-lane branch outcomes and barriers
+//    recorded through LaneRecorder in thread order must give, through
+//    collect_block_trace, the reference branch, divergent-branch and
+//    per-site barrier counts of tests/mem_reference.h.
 //
 // Inputs vary active masks, access widths from 1 B to 256 B (wide enough
 // that one half-warp touches hundreds of segments or words), aligned /
@@ -21,10 +26,13 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <source_location>
 #include <tuple>
 #include <vector>
 
+#include "cudalite/recorder.h"
 #include "cudalite/trace_arena.h"
+#include "cudalite/trace_collect.h"
 #include "hw/device_spec.h"
 #include "mem/bank_conflict.h"
 #include "mem/coalescing.h"
@@ -45,9 +53,10 @@ int random_warp_size(std::mt19937& rng) {
   return 2 * std::uniform_int_distribution<int>(1, 16)(rng);
 }
 
+// Key widths of the arena: 0 (a branch or barrier) and common sizeof()s.
 std::uint32_t random_size(std::mt19937& rng) {
-  constexpr std::uint32_t kSizes[] = {4, 8, 16};
-  return kSizes[std::uniform_int_distribution<int>(0, 2)(rng)];
+  constexpr std::uint32_t kSizes[] = {0, 4, 8, 16};
+  return kSizes[std::uniform_int_distribution<int>(0, 3)(rng)];
 }
 
 // Every width a kernel's sizeof(T) might give, up to far past the 32-byte
@@ -348,6 +357,152 @@ TEST(ArenaOracle, RecordedStreamsReconstructAndGroupExactly) {
   // Both collector paths were exercised.
   EXPECT_GT(clean, 100);
   EXPECT_GT(dirty, 100);
+}
+
+// ---- Control-stream oracle --------------------------------------------------
+
+// One branch outcome or barrier of a lane.
+struct ControlEvent {
+  bool sync = false;
+  std::uint32_t site = 0;
+  bool taken = false;
+};
+
+// Per-lane control sequences of one random block, split into phases as
+// Phases is: phases[p][k] is lane k's events in phase p.
+using ControlPhases = std::vector<std::vector<std::vector<ControlEvent>>>;
+
+ControlPhases random_control_program(std::mt19937& rng, int lane_count,
+                                     bool divergent) {
+  // Uniform ops run at one site in every lane; arm ops send the lanes
+  // outside `arm` to a sibling site; loop ops repeat per lane a trip count
+  // that varies across lanes (a loop branch is taken once per trip, then
+  // falls through).
+  enum Kind { kBranch, kSync, kArmBranch, kArmSync, kLoopBranch, kLoopSync };
+  const int num_phases = std::uniform_int_distribution<int>(1, 3)(rng);
+  ControlPhases phases(static_cast<std::size_t>(num_phases),
+                       std::vector<std::vector<ControlEvent>>(
+                           static_cast<std::size_t>(lane_count)));
+  std::uint32_t next_site = 1;
+  for (auto& phase : phases) {
+    const int ops = std::uniform_int_distribution<int>(1, 8)(rng);
+    for (int o = 0; o < ops; ++o) {
+      const Kind kind = static_cast<Kind>(
+          std::uniform_int_distribution<int>(0, divergent ? 5 : 1)(rng));
+      const std::uint32_t site =
+          next_site > 1 && rng() % 4 == 0
+              ? std::uniform_int_distribution<std::uint32_t>(
+                    1, next_site - 1)(rng)
+              : next_site++;
+      // Outcomes: all taken, none, or a random lane pattern.
+      const int pattern = std::uniform_int_distribution<int>(0, 2)(rng);
+      const std::uint32_t outcomes = static_cast<std::uint32_t>(rng());
+      const std::uint32_t arm = static_cast<std::uint32_t>(rng());
+      const int trip_mod = std::uniform_int_distribution<int>(1, 5)(rng);
+      for (int k = 0; k < lane_count; ++k) {
+        auto& seq = phase[static_cast<std::size_t>(k)];
+        const bool in_arm = (arm >> (k % 32)) & 1u;
+        const bool taken = pattern == 0 || (pattern == 2 &&
+                                            ((outcomes >> (k % 32)) & 1u));
+        switch (kind) {
+          case kBranch: seq.push_back({false, site, taken}); break;
+          case kSync: seq.push_back({true, site, false}); break;
+          case kArmBranch:
+            seq.push_back({false, in_arm ? site : site + 1000, taken});
+            break;
+          case kArmSync:
+            seq.push_back({true, in_arm ? site : site + 1000, false});
+            break;
+          case kLoopBranch:
+            for (int t = 0; t <= k % trip_mod; ++t)
+              seq.push_back({false, site, t < k % trip_mod});
+            break;
+          case kLoopSync:
+            for (int t = 0; t <= k % trip_mod; ++t)
+              seq.push_back({true, site, false});
+            break;
+        }
+      }
+    }
+  }
+  return phases;
+}
+
+TEST(ArenaOracle, ControlStreamsCountBranchesAndBarriersExactly) {
+  std::mt19937 rng(1207);
+  const std::source_location loc = std::source_location::current();
+  int clean = 0, dirty = 0, clean_divergent = 0;
+  TraceArena arena;
+  for (int it = 0; it < 600; ++it) {
+    const int ws = random_warp_size(rng);
+    const DeviceSpec spec = spec_with_warp(ws);
+    const int lane_count = std::uniform_int_distribution<int>(1, 3 * ws)(rng);
+    const bool divergent = rng() % 2 == 0;
+    const ControlPhases phases =
+        random_control_program(rng, lane_count, divergent);
+
+    // Record as the block runner does: phase by phase, lanes in thread
+    // order within a phase, each lane through its own recorder.
+    arena.begin_block(spec, lane_count);
+    std::vector<LaneRecorder> recorders;
+    for (int k = 0; k < lane_count; ++k) recorders.emplace_back(arena, k);
+    std::vector<ref::LaneControl> lanes(static_cast<std::size_t>(lane_count));
+    for (const auto& phase : phases) {
+      for (int k = 0; k < lane_count; ++k) {
+        auto& lane = lanes[static_cast<std::size_t>(k)];
+        for (const ControlEvent& e : phase[static_cast<std::size_t>(k)]) {
+          if (e.sync) {
+            recorders[static_cast<std::size_t>(k)].sync_site(e.site, loc);
+            lane.syncs.push_back(e.site);
+          } else {
+            recorders[static_cast<std::size_t>(k)].branch_outcome(e.taken,
+                                                                  e.site);
+            lane.branches.push_back({e.site, e.taken});
+          }
+        }
+      }
+    }
+
+    const BlockTrace block = collect_block_trace(spec, arena);
+    ASSERT_EQ(block.warps.size(),
+              static_cast<std::size_t>((lane_count + ws - 1) / ws));
+    std::map<std::uint32_t, std::uint64_t> want_syncs;
+    std::uint64_t divergent_branches = 0;
+    for (std::size_t w = 0; w < block.warps.size(); ++w) {
+      const int lo = static_cast<int>(w) * ws;
+      const ref::WarpControl want =
+          ref::warp_control(&lanes[static_cast<std::size_t>(lo)],
+                            std::min(ws, lane_count - lo));
+      EXPECT_EQ(block.warps[w].branches, want.branches)
+          << "it=" << it << " warp " << w;
+      EXPECT_EQ(block.warps[w].divergent_branches, want.divergent_branches)
+          << "it=" << it << " warp " << w;
+      divergent_branches += want.divergent_branches;
+      for (const auto& [site, n] : want.syncs) want_syncs[site] += n;
+    }
+    // Only barriers reach the per-site statistics, each with its source
+    // position.
+    std::map<std::uint32_t, std::uint64_t> got_syncs;
+    for (const SiteStats& s : block.sites) {
+      got_syncs[s.site] = s.syncs;
+      EXPECT_EQ(s.line, loc.line()) << "it=" << it << " site " << s.site;
+    }
+    EXPECT_EQ(got_syncs, want_syncs) << "it=" << it;
+
+    // A converged program never leaves the positional fast path.
+    EXPECT_TRUE(divergent || block.regrouped_streams == 0) << "it=" << it;
+    if (block.regrouped_streams == 0) {
+      ++clean;
+      clean_divergent += divergent_branches > 0;
+    } else {
+      ++dirty;
+    }
+  }
+  // Both collector paths were exercised, and clean rows still saw lanes
+  // disagree on an outcome.
+  EXPECT_GT(clean, 100);
+  EXPECT_GT(dirty, 100);
+  EXPECT_GT(clean_divergent, 50);
 }
 
 }  // namespace
