@@ -309,6 +309,8 @@ int main(int argc, char** argv) {
             static_cast<double>(traced_stats.trace.arena_row_bytes));
     row.set("site_lookups",
             static_cast<double>(traced_stats.trace.site_lookups));
+    row.set("arena_peak_bytes",
+            static_cast<double>(traced_stats.trace.arena_peak_bytes));
     row.set("bit_identical", traced_identical ? 1 : 0);
   }
 

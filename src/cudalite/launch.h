@@ -2,7 +2,8 @@
 //
 // A launch performs (up to) three passes over the same kernel template:
 //   1. a TRACE pass over a small sample of blocks, instrumented, feeding the
-//      occupancy calculator and timing model;
+//      occupancy calculator and timing model; each block's trace is
+//      analyzed while it runs (cudalite/trace_collect.h);
 //   2. an optional g80check SANITIZE pass over the whole grid
 //      (LaunchOptions::sanitize.enabled) validating barrier and
 //      shared-memory semantics — see sanitizer/sanitizer.h;
@@ -171,11 +172,12 @@ class RunnerSet {
 
   // Runs block `b` as `slot` on the calling thread's runner;
   // thread_body(env, tid) runs each of its threads.  Every acquire attaches
-  // this launch's cancel token and `observer` (usually none): the runner
-  // outlives the launch, so whatever a pass that threw left attached is
-  // dropped here.  The footprint is stored right after the run, while this
-  // thread still holds the runner — once the pass drains, a helper thread
-  // may already be running another stream's kernel on it.
+  // this launch's cancel token and `observer` (the block's trace collector,
+  // the sanitizer, or none): the runner outlives the launch, so whatever a
+  // pass that threw left attached is dropped here.  The footprint is stored
+  // right after the run, while this thread still holds the runner — once
+  // the pass drains, a helper thread may already be running another
+  // stream's kernel on it.
   template <class ThreadBody>
   void run_block(int slot, std::uint64_t b, const ThreadBody& thread_body,
                  BarrierObserver* observer = nullptr) {
@@ -331,7 +333,10 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
     // texture cache) into a self-contained BlockTrace, stored by sample
     // index.  The merge therefore happens in sample order no matter which
     // worker finished first, keeping TraceSummary bit-identical to the
-    // sequential path.
+    // sequential path.  The block's TraceCollector analyzes rows while the
+    // block runs: at every barrier release (as the runner's barrier
+    // observer) and as each warp's last lane exits, so the arena holds
+    // about one barrier interval of rows.
     const auto samples =
         detail::pick_sample_blocks(total_blocks, sample_blocks);
     if (!samples.empty()) {
@@ -344,11 +349,16 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
           [&](int slot, std::uint64_t i) {
             auto& arena = slot_arenas[static_cast<std::size_t>(slot)];
             arena.begin_block(spec, threads);
-            runners.run_block(slot, samples[i], [&](BlockEnv& env, int tid) {
-              TraceCtx ctx(&env, tid, LaneRecorder(arena, tid));
-              kernel(ctx, args...);
-            });
-            traces[i] = collect_block_trace(spec, arena);
+            TraceCollector collector(spec, arena);
+            runners.run_block(
+                slot, samples[i],
+                [&](BlockEnv& env, int tid) {
+                  TraceCtx ctx(&env, tid, LaneRecorder(arena, tid));
+                  kernel(ctx, args...);
+                  collector.lane_exited(tid);
+                },
+                &collector);
+            traces[i] = collector.finish();
           },
           cancel);
       stats.smem_per_block = runners.smem_bytes_used();
@@ -405,6 +415,10 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
         }
       }
     }
+
+    // A pass the launch skipped (fallback level 2) leaves blocks_checked
+    // short of this, so the report is not clean.
+    if (opt.sanitize.enabled) stats.sanitizer.blocks_requested = total_blocks;
 
     // ---- Functional pass ----
     // Grid blocks are independent (each writes a disjoint output region, see

@@ -66,6 +66,17 @@ void WarpSpaceBatch::reconstruct_lane(int sub,
   out->insert(out->end(), tail.begin(), tail.end());
 }
 
+void WarpSpaceBatch::drop_front(std::size_t n, int lane_count) {
+  G80_CHECK(n <= final_rows(lane_count));
+  if (n == 0) return;
+  const auto row_end = static_cast<std::ptrdiff_t>(n);
+  keys.erase(keys.begin(), keys.begin() + row_end);
+  masks.erase(masks.begin(), masks.begin() + row_end);
+  addrs.erase(addrs.begin(), addrs.begin() + row_end * stride);
+  for (int k = 0; k < lane_count; ++k)
+    cursor[static_cast<std::size_t>(k)] -= static_cast<std::uint32_t>(n);
+}
+
 void WarpSpaceBatch::regroup(int lane_count, WarpSpaceBatch* out) const {
   out->reset(stride);
   // Per key: the rows of its occurrences so far, and how many of them the
@@ -111,7 +122,7 @@ void TraceArena::begin_block(const DeviceSpec& spec, int num_lanes) {
   site_lookups_ = 0;
 }
 
-std::uint64_t TraceArena::row_bytes() const {
+std::uint64_t TraceArena::held_row_bytes() const {
   const std::size_t n = static_cast<std::size_t>(num_warps_) * kNumTraceSpaces;
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < n; ++i)

@@ -35,6 +35,13 @@
 //     then regroups the exact per-lane sequences (prefix rows + overflow)
 //     into rows of the same form (WarpSpaceBatch::regroup), so divergent
 //     warps reach the same analyzers with exact statistics.
+//   - The arena holds only rows not yet final.  Row j is final once every
+//     lane of the warp has moved its cursor past it (a diverged lane counts
+//     at its frozen cursor), because cursors only grow; the collector
+//     (cudalite/trace_collect.h) analyzes and drops those rows at every
+//     barrier release (WarpSpaceBatch::final_rows / drop_front), and a
+//     warp's whole streams once its last lane exits.  So a tiled kernel's
+//     block holds about one barrier interval of rows, not its whole trace.
 //
 // Instruction identity is (key, occurrence of that key in the lane).  Why
 // positional matching is exact for clean streams: every lane's matched rows
@@ -43,10 +50,15 @@
 // identical across lanes, and first-appearance order equals row order.  The
 // same holds per stream, so a branch row is one dynamic warp branch and the
 // rows of a sync stream at one site number the most times any lane of the
-// warp crossed it.  tests/trace_oracle_test.cc checks clean rows and
-// regrouped dirty streams, memory and control, against reference groupings.
+// warp crossed it.  Final rows are also the common prefix of every lane's
+// sequence, so every key occurs equally often in each lane's dropped part,
+// and regrouping what is left of a dirty stream gives the rows a regroup of
+// the whole stream would give after that prefix.  tests/trace_oracle_test.cc
+// checks clean rows and regrouped dirty streams, memory and control, against
+// reference groupings, and a drained block against the undrained one.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -225,6 +237,25 @@ struct WarpSpaceBatch {
     return false;
   }
 
+  // Rows every lane in [0, lane_count) has moved past: final, and the
+  // common prefix of all their sequences.
+  std::uint32_t final_rows(int lane_count) const {
+    std::uint32_t n = cursor[0];
+    for (int k = 1; k < lane_count; ++k) n = std::min(n, cursor[k]);
+    return n;
+  }
+
+  // Drops rows [0, n), n <= final_rows(lane_count), and rebases the lanes'
+  // cursors; overflow tails stay.
+  void drop_front(std::size_t n, int lane_count);
+
+  // Swaps row storage (capacity) with `other`; both must hold no rows.
+  void swap_storage(WarpSpaceBatch& other) {
+    keys.swap(other.keys);
+    masks.swap(other.masks);
+    addrs.swap(other.addrs);
+  }
+
   // Appends an empty row (no lane active) for `key`; returns its index.
   std::size_t append_row(std::uint64_t key) {
     keys.push_back(key);
@@ -250,7 +281,7 @@ struct WarpSpaceBatch {
 // ---------------------------------------------------------------------------
 // Per-block arena: one WarpSpaceBatch per (warp, stream), each lane's
 // instruction counts, and the site intern table.  One arena per worker
-// slot; all capacity is reused block-to-block.
+// slot of a launch; all capacity is reused block-to-block.
 // ---------------------------------------------------------------------------
 
 // One lane's dynamic instruction-class counts and flops.
@@ -300,10 +331,11 @@ class TraceArena {
     return sites_.find(site);
   }
 
-  // Exact work counters of the block recorded so far: intern-table lookups,
-  // and bytes of the SoA rows the recorder appended across all streams.
+  // Intern-table lookups of the block recorded so far (an exact work
+  // counter), and bytes of the SoA rows its streams hold now: appended and
+  // not yet dropped.
   std::uint64_t site_lookups() const { return site_lookups_; }
-  std::uint64_t row_bytes() const;
+  std::uint64_t held_row_bytes() const;
 
  private:
   std::vector<WarpSpaceBatch> streams_;

@@ -19,6 +19,19 @@ int half_warp_serialization(const DeviceSpec& spec, const SoaWarpAccess& row,
   const std::uint64_t words_per_lane = (row.size + 3) / 4;
   const std::uint32_t* addr = row.addrs + lo;
 
+  // Fast path: when every word the active lanes touch lies in one window of
+  // `banks` consecutive words, each bank holds at most one of them, so the
+  // half-warp issues in one pass.  That answers a broadcast (one word) and
+  // a unit-stride run of at most `banks` words without building spans.
+  std::uint64_t first_word = ~0ull, last_word = 0;
+  for (int k = 0; k < n; ++k) {
+    if ((half_mask >> k & 1u) == 0) continue;
+    const std::uint64_t w = std::uint64_t{addr[k]} / 4;
+    first_word = std::min(first_word, w);
+    last_word = std::max(last_word, w);
+  }
+  if (last_word + words_per_lane - first_word <= banks) return 1;
+
   Span words[32];  // one per lane; a row has at most 32
   int nspans = 0;
   for (int k = 0; k < n; ++k) {
@@ -27,7 +40,6 @@ int half_warp_serialization(const DeviceSpec& spec, const SoaWarpAccess& row,
     push_span(words, nspans, {first, first + words_per_lane - 1});
   }
   nspans = merge_spans(words, nspans);
-  if (nspans == 1 && words[0].lo == words[0].hi) return 1;  // broadcast
 
   // A disjoint run of L words gives every bank L / banks of them, and one
   // more to each of the L % banks consecutive banks from (first word) %

@@ -14,6 +14,8 @@ std::string SanitizerReport::summary() const {
   std::ostringstream os;
   os << "g80check: " << findings.size() << " finding(s) across "
      << blocks_checked << " block(s)";
+  if (blocks_checked < blocks_requested)
+    os << " of " << blocks_requested << " requested (pass skipped)";
   os << "\n";
   for (const Finding& f : findings)
     os << "  [" << status_name(f.status) << "] block " << f.block << ": "

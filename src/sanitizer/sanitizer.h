@@ -72,11 +72,19 @@ struct Finding {
 struct SanitizerReport {
   std::vector<Finding> findings;
   std::uint64_t blocks_checked = 0;
+  // Blocks the launch asked g80check to check: the whole grid when
+  // sanitize.enabled, else 0.  A degraded launch (g80resil fallback level
+  // 2) skips the pass and checks fewer.
+  std::uint64_t blocks_requested = 0;
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;
   std::uint64_t barriers_checked = 0;
 
-  bool clean() const { return findings.empty(); }
+  // No findings, and every requested block was checked: a skipped pass is
+  // not a clean one.
+  bool clean() const {
+    return findings.empty() && blocks_checked >= blocks_requested;
+  }
   bool has(Status s) const;
   // Multi-line human-readable report, one line per finding.
   std::string summary() const;

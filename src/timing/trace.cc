@@ -99,6 +99,7 @@ TraceSummary TraceSummary::summarize(const std::vector<BlockTrace>& blocks) {
     s.regrouped_streams += b.regrouped_streams;
     s.arena_row_bytes += b.arena_row_bytes;
     s.site_lookups += b.site_lookups;
+    s.arena_peak_bytes = std::max(s.arena_peak_bytes, b.arena_peak_bytes);
     merge_site_stats(s.sites, b.sites);
   }
   return s;

@@ -89,6 +89,9 @@ struct BlockTrace {
   // call-site lookups in its intern table.
   std::uint64_t arena_row_bytes = 0;
   std::uint64_t site_lookups = 0;
+  // The most row bytes the arena held at once while the block was
+  // collected (sampled before each drain and at block end).
+  std::uint64_t arena_peak_bytes = 0;
 
   WarpTrace aggregate() const;
 };
@@ -105,6 +108,8 @@ struct TraceSummary {
   std::uint64_t regrouped_streams = 0;
   std::uint64_t arena_row_bytes = 0;
   std::uint64_t site_lookups = 0;
+  // The largest BlockTrace::arena_peak_bytes of the traced blocks.
+  std::uint64_t arena_peak_bytes = 0;
 
   static TraceSummary summarize(const std::vector<BlockTrace>& blocks);
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/matmul/matmul.h"
 #include "common/error.h"
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
@@ -257,6 +258,51 @@ TEST(ResilRetry, OutputsBitIdenticalAcrossFallbackLevels) {
       launch(dev, Dim3(n / 128), Dim3(128), opt, ReverseKernel{}, in, out);
   EXPECT_EQ(stats.resilience.fallback_level, 2);
   EXPECT_EQ(out.copy_to_host(), expected);
+}
+
+// A launch that asked for g80check and degraded to fallback level 2 skipped
+// the pass; its report must not read clean.  The tiled matmul's skipped
+// barrier is found at levels 0 and 1; at level 2 nothing is checked.
+TEST(ResilRetry, DegradedSanitizedLaunchIsNotClean) {
+  const int n = 64;
+  const auto w = apps::MatmulWorkload::generate(n, 3);
+  const apps::MatmulTiledKernel kernel{n, 16, false, false};
+  const Dim3 grid(n / 16, n / 16), block(16, 16);
+  LaunchOptions opt;
+  opt.regs_per_thread = 10;
+  opt.sanitize.enabled = true;
+  opt.sanitize.abort_on_error = false;
+  opt.sanitize.fault.skip_barrier_tid = 0;
+  opt.sanitize.fault.block = -1;
+  opt.resilience.enabled = true;
+  opt.resilience.max_retries = 2;
+  opt.resilience.backoff_initial_s = 0;
+
+  for (int transients = 0; transients <= 2; ++transients) {
+    Device dev;
+    auto a = dev.alloc<float>(n * n);
+    auto b = dev.alloc<float>(n * n);
+    auto c = dev.alloc<float>(n * n);
+    a.copy_from_host(w.a);
+    b.copy_from_host(w.b);
+    opt.resilience.inject_transient_failures = transients;
+    const auto stats = launch(dev, grid, block, opt, kernel, a, b, c);
+    const SanitizerReport& r = stats.sanitizer;
+    EXPECT_EQ(stats.resilience.fallback_level, transients);
+    EXPECT_FALSE(r.clean()) << "level " << transients;
+    EXPECT_EQ(r.blocks_requested, grid.count());
+    if (transients < 2) {
+      EXPECT_EQ(r.blocks_checked, grid.count());
+      // Thread 0 runs ahead into the next tile's reads: 16 races, the cap.
+      EXPECT_EQ(r.findings.size(), opt.sanitize.max_findings);
+      EXPECT_TRUE(r.has(Status::kSharedMemoryRace));
+    } else {
+      EXPECT_EQ(r.blocks_checked, 0u);
+      EXPECT_TRUE(r.findings.empty());
+      EXPECT_NE(r.summary().find("pass skipped"), std::string::npos)
+          << r.summary();
+    }
+  }
 }
 
 // ---- Attempt observer -----------------------------------------------------------

@@ -158,6 +158,53 @@ TEST(TraceGrouping, RecorderLooksEachSiteUpOncePerWarp) {
   EXPECT_EQ(s.trace.site_lookups, 2u);
 }
 
+// Each iteration stages a word per thread in shared memory, synchronizes,
+// reads a neighbour's word and synchronizes again: per warp, one global,
+// one shared and one sync row before the first barrier, one shared and one
+// sync row before the second.
+struct StagedKernel {
+  int iterations = 0;
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& a) const {
+    auto A = ctx.global(a);
+    auto S = ctx.template shared<float>(ctx.block_dim().x);
+    const int t = static_cast<int>(ctx.thread_idx().x);
+    const int n = static_cast<int>(ctx.block_dim().x);
+    float acc = 0.0f;
+    for (int r = 0; r < iterations; ++r) {
+      S.st(t, A.ld(static_cast<std::size_t>(r) * n + t));
+      ctx.sync();
+      acc = ctx.add(acc, S.ld(n - 1 - t));
+      ctx.sync();
+    }
+  }
+};
+
+TEST(TraceGrouping, ArenaHoldsOneBarrierIntervalOfRows) {
+  constexpr int kIterations = 8;
+  Device dev;
+  auto a = dev.alloc<float>(kIterations * 64);
+  LaunchOptions opt;
+  opt.sample_blocks = 1;
+  opt.functional = false;
+  // Two warps.  Every barrier release drops the rows both warps recorded
+  // since the last one, so the arena peaks at the first interval's three
+  // rows per warp, however many iterations run.
+  const auto staged =
+      launch(dev, Dim3(1), Dim3(64), opt, StagedKernel{kIterations}, a);
+  EXPECT_EQ(staged.trace.arena_row_bytes, kIterations * 2 * 5 * 140u);
+  EXPECT_EQ(staged.trace.arena_peak_bytes, 2 * 3 * 140u);
+
+  // Without barriers, warp 0 is done before warp 1 starts, and its rows
+  // are dropped as its last lane exits: the arena peaks at one warp's rows.
+  constexpr int kPairs = 8;
+  auto b = dev.alloc<float>(kPairs * 32 + 32);
+  const auto free_running = launch(dev, Dim3(1), Dim3(64), opt,
+                                   AlternatingSitesKernel{kPairs}, a, b);
+  EXPECT_EQ(free_running.trace.arena_row_bytes, 2 * 2 * kPairs * 140u);
+  EXPECT_EQ(free_running.trace.arena_peak_bytes, 2 * kPairs * 140u);
+}
+
 // Lane 5 alone makes a second load.  It opens no row (row 1 is the store
 // lane 0 opened), so it diverges into overflow, and its site is noted by
 // no other lane.
@@ -211,7 +258,7 @@ TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
     global.record(k, 7, 4, false, static_cast<std::uint32_t>(4 * k));
   }
 
-  const auto block = collect_block_trace(spec, arena);
+  const auto block = TraceCollector(spec, arena).finish();
   ASSERT_EQ(block.warps.size(), 1u);
   const auto& w = block.warps[0];
   EXPECT_EQ(w.global_instructions, 2u);

@@ -3,8 +3,10 @@
 //  - Analyzers: every G80 memory-rule analyzer (one SoA trace-arena row)
 //    must produce exactly what the std::set reference rules in
 //    tests/mem_reference.h produce on the same lanes — for coalescing, bank
-//    conflicts and constant broadcast — and the texture cache's warp probe
-//    must match per-lane probes of a fresh cache in the same order.
+//    conflicts (including the half-warp shapes the bank analyzer answers
+//    before building spans, and their near misses) and constant broadcast —
+//    and the texture cache's warp probe must match per-lane probes of a
+//    fresh cache in the same order.
 //  - Arena: random per-lane access sequences recorded through
 //    WarpSpaceBatch::record in thread order must come back out exactly:
 //    reconstruct_lane(k) is lane k's input, and the rows the analyzers read
@@ -13,8 +15,12 @@
 //    includes width 0, the width of the control streams' keys.
 //  - Control streams: random per-lane branch outcomes and barriers
 //    recorded through LaneRecorder in thread order must give, through
-//    collect_block_trace, the reference branch, divergent-branch and
+//    TraceCollector, the reference branch, divergent-branch and
 //    per-site barrier counts of tests/mem_reference.h.
+//  - Drains: a random block over every stream, recorded in thread order
+//    with lanes exiting early (diverged ones included), collected with
+//    drains at random barrier releases and at warp completions, must give
+//    exactly the BlockTrace of the same block collected at block end only.
 //
 // Inputs vary active masks, access widths from 1 B to 256 B (wide enough
 // that one half-warp touches hundreds of segments or words), aligned /
@@ -117,6 +123,50 @@ WarpCase random_warp(std::mt19937& rng, int ws, std::uint64_t range) {
   return c;
 }
 
+// Half-warp shapes the bank-conflict analyzer answers before it builds
+// spans (every active lane on one word; a unit-stride run of width <= 4 and
+// at most `banks` words), and a near miss of each that serializes: one lane
+// moved `banks` words off the broadcast word or past the run's end, into a
+// bank another lane already uses.
+enum SharedShape { kBroadcast, kUnitRun, kBroadcastMiss, kRunMiss, kShapes };
+
+WarpCase shared_shape_warp(std::mt19937& rng, int ws, int banks,
+                           SharedShape shape) {
+  const int hw = ws / 2;
+  const std::uint32_t full = ws == 32 ? ~0u : (1u << ws) - 1u;
+  const bool miss = shape == kBroadcastMiss || shape == kRunMiss;
+  WarpCase c;
+  c.row.mask = miss ? full : static_cast<std::uint32_t>(rng()) & full;
+  constexpr std::uint32_t kNarrow[] = {1, 2, 4};
+  c.row.size = miss ? 4 : kNarrow[rng() % 3];
+  c.row.addrs.assign(static_cast<std::size_t>(ws), 0xdeadbeefu);
+  c.lanes.assign(static_cast<std::size_t>(ws), ref::Lane{});
+  for (int lo = 0; lo < ws; lo += hw) {
+    const std::uint32_t base_word = static_cast<std::uint32_t>(rng() % 3000);
+    for (int j = 0; j < hw; ++j) {
+      const int k = lo + j;
+      if (!(c.row.mask & (1u << k))) continue;
+      const bool last = j == hw - 1;
+      std::uint32_t addr = 0;
+      switch (shape) {
+        case kBroadcast: addr = base_word * 4; break;
+        case kUnitRun:
+          addr = base_word * 4 + static_cast<std::uint32_t>(j) * c.row.size;
+          break;
+        case kBroadcastMiss:
+          addr = (base_word + (last ? banks : 0)) * 4;
+          break;
+        default:
+          addr = (base_word + (last ? banks : j)) * 4;
+          break;
+      }
+      c.row.addrs[static_cast<std::size_t>(k)] = addr;
+      c.lanes[static_cast<std::size_t>(k)] = {addr, c.row.size, true};
+    }
+  }
+  return c;
+}
+
 TEST(AnalyzerOracle, AnalyzersMatchReferenceRules) {
   std::mt19937 rng(20080220);
   int wide_global = 0, wide_shared = 0;
@@ -150,6 +200,35 @@ TEST(AnalyzerOracle, AnalyzersMatchReferenceRules) {
   // Widths past a segment per lane were drawn often enough to matter.
   EXPECT_GT(wide_global, 300);
   EXPECT_GT(wide_shared, 300);
+
+  // The bank-conflict fast-path shapes and their near misses, each checked
+  // half-warp by half-warp against the reference rule.
+  int drawn[kShapes] = {};
+  for (int it = 0; it < 1200; ++it) {
+    const auto shape = static_cast<SharedShape>(it % kShapes);
+    const bool miss = shape == kBroadcastMiss || shape == kRunMiss;
+    // A near miss needs two lanes per half-warp.
+    int ws = random_warp_size(rng);
+    while (miss && ws < 4) ws = random_warp_size(rng);
+    const DeviceSpec spec = spec_with_warp(ws);
+    const WarpCase s =
+        shared_shape_warp(rng, ws, spec.shared_mem_banks, shape);
+    const ref::WarpPasses want = ref::analyze_shared_warp(spec, s.lanes);
+    const WarpBankCost got = analyze_shared_warp(spec, s.row.view());
+    EXPECT_EQ(want.passes, got.passes) << "shape " << shape << " it=" << it;
+    EXPECT_EQ(want.extra_passes, got.extra_passes)
+        << "shape " << shape << " it=" << it;
+    for (int lo = 0; lo < ws; lo += ws / 2) {
+      if (((s.row.mask >> lo) & ((1u << (ws / 2)) - 1u)) == 0) continue;
+      const ref::HalfWarpPasses half = ref::analyze_shared_half_warp(
+          spec, &s.lanes[static_cast<std::size_t>(lo)], ws / 2);
+      EXPECT_EQ(half.serialization, miss ? 2 : 1)
+          << "shape " << shape << " it=" << it << " lo=" << lo;
+      ++drawn[shape];
+    }
+  }
+  for (int shape = 0; shape < kShapes; ++shape)
+    EXPECT_GT(drawn[shape], 100) << "shape " << shape;
 }
 
 TEST(AnalyzerOracle, TextureWarpProbesMatchPerLaneProbes) {
@@ -463,7 +542,7 @@ TEST(ArenaOracle, ControlStreamsCountBranchesAndBarriersExactly) {
       }
     }
 
-    const BlockTrace block = collect_block_trace(spec, arena);
+    const BlockTrace block = TraceCollector(spec, arena).finish();
     ASSERT_EQ(block.warps.size(),
               static_cast<std::size_t>((lane_count + ws - 1) / ws));
     std::map<std::uint32_t, std::uint64_t> want_syncs;
@@ -503,6 +582,224 @@ TEST(ArenaOracle, ControlStreamsCountBranchesAndBarriersExactly) {
   EXPECT_GT(clean, 100);
   EXPECT_GT(dirty, 100);
   EXPECT_GT(clean_divergent, 50);
+}
+
+// ---- Drain oracle -----------------------------------------------------------
+
+// One event of a lane in a random block: a memory access in one of the four
+// address spaces, a branch outcome, or a barrier.
+struct BlockEvent {
+  int space = kSpaceGlobal;
+  std::uint32_t site = 0;
+  std::uint32_t size = 4;
+  bool store = false;
+  std::uint32_t value = 0;  // the address, or a branch's outcome
+};
+
+// phases[p][k]: lane k's events between barrier releases p - 1 and p.
+using BlockPhases = std::vector<std::vector<std::vector<BlockEvent>>>;
+
+// A random block over every stream.  Divergent ops (arm-specific sites,
+// per-lane trip counts, mixed widths at one site) are likelier after the
+// first phase, so streams also go dirty after rows were drained clean.
+// Texture addresses stay within a few cache sizes, so the cache's hits
+// depend on the order warps probe it.
+BlockPhases random_block(std::mt19937& rng, int lane_count, bool divergent,
+                         const DeviceSpec& spec) {
+  const int num_phases = std::uniform_int_distribution<int>(1, 4)(rng);
+  BlockPhases phases(static_cast<std::size_t>(num_phases),
+                     std::vector<std::vector<BlockEvent>>(
+                         static_cast<std::size_t>(lane_count)));
+  std::uint32_t next_site = 1;
+  for (int p = 0; p < num_phases; ++p) {
+    const int ops = std::uniform_int_distribution<int>(1, 8)(rng);
+    for (int o = 0; o < ops; ++o) {
+      const int space = std::uniform_int_distribution<int>(0, 5)(rng);
+      const bool memory = space < kSpaceBranch;
+      const int odds = p == 0 ? 5 : 2;  // 1 in odds ops diverges
+      const int kind = divergent && rng() % odds == 0
+                           ? std::uniform_int_distribution<int>(1, 3)(rng)
+                           : 0;
+      const std::uint32_t site =
+          next_site > 1 && rng() % 4 == 0
+              ? std::uniform_int_distribution<std::uint32_t>(
+                    1, next_site - 1)(rng)
+              : next_site++;
+      const std::uint32_t size = memory ? 4u << (rng() % 3) : 0;
+      const bool store =
+          (space == kSpaceGlobal || space == kSpaceShared) && rng() % 3 == 0;
+      const std::uint32_t arm = static_cast<std::uint32_t>(rng());
+      const std::uint32_t outcomes = static_cast<std::uint32_t>(rng());
+      const int trip_mod = std::uniform_int_distribution<int>(1, 4)(rng);
+      const std::uint32_t base =
+          space == kSpaceTexture
+              ? static_cast<std::uint32_t>(
+                    rng() % (3 * spec.texture_cache_bytes)) & ~3u
+          : space == kSpaceShared ? (rng() % 1024) * 4
+                                  : (rng() % 4096) * 64;
+      const std::uint32_t stride = space == kSpaceTexture ? 64 : 4;
+      for (int k = 0; k < lane_count; ++k) {
+        auto& seq = phases[static_cast<std::size_t>(p)]
+                          [static_cast<std::size_t>(k)];
+        BlockEvent e{space, site, size, store,
+                     base + static_cast<std::uint32_t>(k) * stride};
+        if (space == kSpaceBranch) e.value = (outcomes >> (k % 32)) & 1u;
+        if (space == kSpaceSync) e.value = 0;
+        switch (kind) {
+          case 0: seq.push_back(e); break;
+          case 1:  // the lanes outside `arm` run a sibling arm's site
+            if (!((arm >> (k % 32)) & 1u)) e.site += 1000;
+            seq.push_back(e);
+            break;
+          case 2:
+            for (int t = 0; t <= k % trip_mod; ++t) seq.push_back(e);
+            break;
+          default:  // odd lanes use another width (a branch arm's site)
+            if (k % 2 == 1) {
+              if (memory) e.size = e.size == 4 ? 8 : 4;
+              else e.site += 1000;
+            }
+            seq.push_back(e);
+            break;
+        }
+      }
+    }
+  }
+  return phases;
+}
+
+void record(LaneRecorder& r, const BlockEvent& e,
+            const std::source_location& loc) {
+  switch (e.space) {
+    case kSpaceGlobal:
+      r.mem(e.store ? OpClass::kStoreGlobal : OpClass::kLoadGlobal, e.value,
+            e.size, e.site, loc);
+      break;
+    case kSpaceShared:
+      r.mem(e.store ? OpClass::kStoreShared : OpClass::kLoadShared, e.value,
+            e.size, e.site, loc);
+      break;
+    case kSpaceConst:
+      r.mem(OpClass::kLoadConst, e.value, e.size, e.site, loc);
+      break;
+    case kSpaceTexture:
+      r.mem(OpClass::kLoadTexture, e.value, e.size, e.site, loc);
+      break;
+    case kSpaceBranch: r.branch_outcome(e.value != 0, e.site); break;
+    default: r.sync_site(e.site, loc); break;
+  }
+}
+
+TEST(DrainOracle, DrainedCollectionEqualsUndrained) {
+  std::mt19937 rng(2008);
+  const std::source_location loc = std::source_location::current();
+  int ragged = 0, regrouped = 0, smaller_peak = 0, dirty_after_drain = 0,
+      diverged_exits = 0, block_end_only = 0;
+  TraceArena drained_arena, whole_arena;
+  for (int it = 0; it < 800; ++it) {
+    const int ws = random_warp_size(rng);
+    const DeviceSpec spec = spec_with_warp(ws);
+    const int lane_count = std::uniform_int_distribution<int>(1, 3 * ws)(rng);
+    const int num_warps = (lane_count + ws - 1) / ws;
+    const bool divergent = rng() % 3 != 0;
+    const BlockPhases phases = random_block(rng, lane_count, divergent, spec);
+    const int last_phase = static_cast<int>(phases.size()) - 1;
+    // Most lanes run to the end; some exit after an earlier phase.
+    std::vector<int> exit_phase(static_cast<std::size_t>(lane_count),
+                                last_phase);
+    for (int& e : exit_phase) {
+      if (rng() % 4 == 0)
+        e = std::uniform_int_distribution<int>(0, last_phase)(rng);
+    }
+    // Some blocks report no lane exits, so only barrier releases and the
+    // block end drain them.
+    const bool report_exits = rng() % 4 != 0;
+    block_end_only += !report_exits;
+
+    drained_arena.begin_block(spec, lane_count);
+    whole_arena.begin_block(spec, lane_count);
+    TraceCollector drained(spec, drained_arena);
+    TraceCollector whole(spec, whole_arena);  // collected at block end only
+    std::vector<LaneRecorder> drained_rec, whole_rec;
+    for (int k = 0; k < lane_count; ++k) {
+      drained_rec.emplace_back(drained_arena, k);
+      whole_rec.emplace_back(whole_arena, k);
+    }
+    // Streams drained while clean, to see them go dirty afterwards.
+    std::vector<char> drained_clean(
+        static_cast<std::size_t>(num_warps) * kNumTraceSpaces, 0);
+    auto note_dirty = [&](int w) {
+      for (int space = 0; space < kNumTraceSpaces; ++space) {
+        char& flag = drained_clean[static_cast<std::size_t>(w) *
+                                       kNumTraceSpaces + space];
+        if (flag && drained_arena.stream(w, space)->dirty()) {
+          ++dirty_after_drain;
+          flag = 0;
+        }
+      }
+    };
+
+    // Record as the block runner runs: phase by phase, live lanes in thread
+    // order, each exiting right after its last event.
+    for (int p = 0; p <= last_phase; ++p) {
+      for (int k = 0; k < lane_count; ++k) {
+        const auto lane = static_cast<std::size_t>(k);
+        if (exit_phase[lane] < p) continue;
+        for (const BlockEvent& e : phases[static_cast<std::size_t>(p)][lane]) {
+          record(drained_rec[lane], e, loc);
+          record(whole_rec[lane], e, loc);
+        }
+        if (exit_phase[lane] != p) continue;
+        const int w = k / ws;
+        note_dirty(w);
+        std::uint32_t diverged = 0;
+        for (int space = 0; space < kNumTraceSpaces; ++space)
+          diverged |= drained_arena.stream(w, space)->diverged;
+        diverged = (diverged >> (k % ws)) & 1u;
+        diverged_exits += diverged != 0 && p < last_phase;
+        if (report_exits) drained.lane_exited(k);
+      }
+      if (p == last_phase || rng() % 4 == 0) continue;  // no release here
+      for (int w = 0; w < num_warps; ++w) {
+        note_dirty(w);
+        const int lanes = std::min(ws, lane_count - w * ws);
+        for (int space = 0; space < kNumTraceSpaces; ++space) {
+          const WarpSpaceBatch& st = *drained_arena.stream(w, space);
+          if (!st.dirty() && st.final_rows(lanes) > 0)
+            drained_clean[static_cast<std::size_t>(w) * kNumTraceSpaces +
+                          space] = 1;
+        }
+      }
+      drained.on_barrier_release(BarrierSnapshot{});
+    }
+    for (int w = 0; w < num_warps; ++w) note_dirty(w);
+
+    const BlockTrace got = drained.finish();
+    const BlockTrace want = whole.finish();
+    ASSERT_EQ(got.warps.size(), static_cast<std::size_t>(num_warps));
+    ASSERT_EQ(want.warps.size(), got.warps.size());
+    for (std::size_t w = 0; w < got.warps.size(); ++w)
+      EXPECT_TRUE(got.warps[w] == want.warps[w])
+          << "it=" << it << " warp " << w;
+    EXPECT_TRUE(got.sites == want.sites) << "it=" << it;
+    EXPECT_EQ(got.regrouped_streams, want.regrouped_streams) << "it=" << it;
+    EXPECT_EQ(got.arena_row_bytes, want.arena_row_bytes) << "it=" << it;
+    EXPECT_EQ(got.site_lookups, want.site_lookups) << "it=" << it;
+    // Undrained, the arena held every row at block end.
+    EXPECT_EQ(want.arena_peak_bytes, want.arena_row_bytes) << "it=" << it;
+    EXPECT_LE(got.arena_peak_bytes, want.arena_peak_bytes) << "it=" << it;
+
+    ragged += lane_count % ws != 0;
+    regrouped += want.regrouped_streams > 0;
+    smaller_peak += got.arena_peak_bytes < want.arena_peak_bytes;
+  }
+  // Every case the drains must survive was drawn often enough to matter.
+  EXPECT_GT(ragged, 100);
+  EXPECT_GT(regrouped, 100);
+  EXPECT_GT(smaller_peak, 100);
+  EXPECT_GT(dirty_after_drain, 50);
+  EXPECT_GT(diverged_exits, 50);
+  EXPECT_GT(block_end_only, 100);
 }
 
 }  // namespace
