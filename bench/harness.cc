@@ -70,6 +70,7 @@ int Harness::finish(const DeviceSpec& spec) {
     Provenance p = build_provenance("g80bench-result");
     p.device = spec.name;
     p.device_spec_hash = device_spec_hash(spec);
+    p.host = host_stamp();
     write_provenance(w, p);
   }
   w.kv("bench", bench_name_);

@@ -12,7 +12,8 @@
 //   {
 //     "provenance": { "schema": "g80bench-result", "schema_version": 1,
 //                     "git_describe", "build_config",
-//                     "device", "device_spec_hash" },
+//                     "device", "device_spec_hash",
+//                     "host": { "nproc", "cpu_model", "build_config" } },
 //     "bench": "<name>", "seed": N,
 //     "results": [ { "name": "<row>", "metrics": { "<key>": <number> } } ]
 //   }
@@ -20,8 +21,10 @@
 // Metric keys prefixed `wall_` are wall-clock measurements: recorded for
 // context but excluded from regression comparison
 // (scripts/check_bench_regression.py), since they depend on host load.
-// Every other metric must be deterministic — a modeled quantity or an exact
-// count — so baselines diff bit-for-bit across runs.
+// The `host` stamp says which host those wall-clock numbers come from; the
+// comparison ignores it.  Every other metric must be deterministic — a
+// modeled quantity or an exact count — so baselines diff bit-for-bit across
+// runs.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
 #include "common/provenance.h"
 
 #include <cstdio>
+#include <fstream>
+#include <thread>
 #include <utility>
 
 #include "common/version.h"  // configured from version.h.in
@@ -16,6 +18,28 @@ Provenance build_provenance(std::string schema, int schema_version) {
   return p;
 }
 
+namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+HostStamp host_stamp() {
+  return {static_cast<int>(std::thread::hardware_concurrency()), cpu_model(),
+          G80_BUILD_CONFIG};
+}
+
 void write_provenance(JsonWriter& w, const Provenance& p) {
   char hash[2 + 16 + 1] = "";
   if (p.device_spec_hash != 0) {
@@ -29,8 +53,16 @@ void write_provenance(JsonWriter& w, const Provenance& p) {
       .kv("git_describe", p.git_describe)
       .kv("build_config", p.build_config)
       .kv("device", p.device)
-      .kv("device_spec_hash", static_cast<const char*>(hash))
-      .end_object();
+      .kv("device_spec_hash", static_cast<const char*>(hash));
+  if (p.host) {
+    w.key("host")
+        .begin_object()
+        .kv("nproc", p.host->nproc)
+        .kv("cpu_model", p.host->cpu_model)
+        .kv("build_config", p.host->build_config)
+        .end_object();
+  }
+  w.end_object();
 }
 
 }  // namespace g80

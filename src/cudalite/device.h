@@ -4,13 +4,17 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -91,10 +95,50 @@ class TransferLedger {
   std::atomic<std::uint64_t> lifetime_h2d_count_{0}, lifetime_d2h_count_{0};
 };
 
+// Allocator for device-memory backing storage: `calloc` hands out memory
+// that is already zero, so value-constructing a trivially default
+// constructible element writes nothing.  A large request is a fresh
+// anonymous mapping whose pages cost no host memory until written (a read of
+// an unwritten page maps the shared zero page); a small one comes from the
+// heap, which `calloc` clears.  Any other element type is constructed as
+// usual.
+template <class T>
+struct ZeroedAllocator {
+  static_assert(alignof(T) <= alignof(std::max_align_t),
+                "calloc aligns to max_align_t only");
+  using value_type = T;
+
+  ZeroedAllocator() = default;
+  template <class U>
+  ZeroedAllocator(const ZeroedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) != 0 ||
+                  !std::is_trivially_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+
+  template <class U>
+  bool operator==(const ZeroedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 // A typed span of device memory.  Element types must be trivially copyable
 // and 4/8/16 bytes wide (the access sizes G80 can issue), or plain arrays of
 // such.  Backing storage lives host-side; the `device_addr` is the virtual
-// address the memory analyzers see.
+// address the memory analyzers see.  A new buffer reads all zeros, and its
+// storage is zero pages until written (ZeroedAllocator), so a large buffer a
+// kernel barely touches costs host memory only for what it touches.
 template <class T>
 class DeviceBuffer {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -121,7 +165,7 @@ class DeviceBuffer {
  private:
   Device* dev_ = nullptr;
   std::uint64_t addr_ = 0;
-  std::vector<T> storage_;
+  std::vector<T, ZeroedAllocator<T>> storage_;
 };
 
 // Read-only constant-space buffer (64 KB total on G80), served through the
@@ -143,7 +187,7 @@ class ConstantBuffer {
  private:
   Device* dev_ = nullptr;
   std::uint64_t addr_ = 0;
-  std::vector<T> storage_;
+  std::vector<T, ZeroedAllocator<T>> storage_;
 };
 
 // Read-only texture-space buffer served through the per-SM texture cache.
@@ -164,7 +208,7 @@ class Texture1D {
  private:
   Device* dev_ = nullptr;
   std::uint64_t addr_ = 0;
-  std::vector<T> storage_;
+  std::vector<T, ZeroedAllocator<T>> storage_;
 };
 
 class Device {
@@ -340,7 +384,7 @@ void DeviceBuffer<T>::copy_from_host(std::span<const T> src) {
 template <class T>
 std::vector<T> DeviceBuffer<T>::copy_to_host() const {
   if (dev_) dev_->ledger().record_d2h(bytes());
-  return storage_;
+  return std::vector<T>(storage_.begin(), storage_.end());
 }
 
 template <class T>

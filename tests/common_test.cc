@@ -6,6 +6,8 @@
 #include <set>
 
 #include "common/error.h"
+#include "common/json.h"
+#include "common/provenance.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/str.h"
@@ -185,6 +187,24 @@ TEST(TextTable, AlignsAndUnderlines) {
 TEST(TextTable, RejectsMismatchedRow) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);
+}
+
+TEST(Provenance, HostStampIsWrittenOnlyWhenSet) {
+  const auto written = [](const Provenance& p) {
+    JsonWriter w;
+    w.begin_object();
+    write_provenance(w, p);
+    w.end_object();
+    return JsonValue::parse(w.str());
+  };
+  Provenance p = build_provenance("test");
+  EXPECT_EQ(written(p).require("provenance").get("host"), nullptr);
+  p.host = host_stamp();
+  const JsonValue doc = written(p);
+  const JsonValue& host = doc.require("provenance").require("host");
+  EXPECT_GE(host.require("nproc").as_int(), 1);
+  EXPECT_FALSE(host.require("cpu_model").as_string().empty());
+  EXPECT_EQ(host.require("build_config").as_string(), p.build_config);
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 // Device/spec/geometry tests: family variants, Dim3 arithmetic, allocation
-// bookkeeping, and CPU-baseline calibration.
+// bookkeeping, zeroed and lazily backed buffer storage, and CPU-baseline
+// calibration.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "common/error.h"
 #include "core/cpu_calibration.h"
@@ -159,6 +166,96 @@ TEST(Device, BufferFillAndCopy) {
   const auto host = b.copy_to_host();
   for (int v : host) EXPECT_EQ(v, 7);
 }
+
+// An element type whose default is not all zero bits: its buffers must be
+// constructed element by element, not left as the allocator's zeros.
+struct Ones {
+  float v = 1.0f;
+};
+static_assert(std::is_trivially_copyable_v<Ones>);
+static_assert(!std::is_trivially_default_constructible_v<Ones>);
+
+float value_of(float f) { return f; }
+float value_of(const Ones& o) { return o.v; }
+
+// Twenty rounds of: build a buffer, check every element reads `fresh`,
+// scribble over all of it, drop it.  Below glibc's mmap threshold the next
+// round may get the same heap chunk back, so this catches storage that
+// reaches a new buffer uncleared.
+template <class Buffer>
+void expect_fresh_every_round(std::size_t bytes, float fresh) {
+  using T = std::remove_cvref_t<decltype(*std::declval<Buffer&>().raw())>;
+  const std::size_t n = bytes / sizeof(T);
+  std::vector<T> scribble(n);
+  std::memset(static_cast<void*>(scribble.data()), 0xA5, n * sizeof(T));
+  Device dev;
+  for (int round = 0; round < 20; ++round) {
+    // Built directly: constant space stops at 64 KiB, and the contract is
+    // the storage's, whatever address the buffer has.
+    Buffer b(&dev, 0, n);
+    ASSERT_EQ(b.size(), n);
+    const std::size_t stale = std::count_if(
+        b.raw(), b.raw() + n, [&](const T& e) { return value_of(e) != fresh; });
+    EXPECT_EQ(stale, 0u) << bytes << " B, round " << round;
+    b.copy_from_host(scribble);
+  }
+}
+
+template <class T>
+void expect_fresh_buffers(float fresh) {
+  for (const std::size_t bytes : {std::size_t{1} << 10, std::size_t{8} << 20}) {
+    expect_fresh_every_round<DeviceBuffer<T>>(bytes, fresh);
+    expect_fresh_every_round<ConstantBuffer<T>>(bytes, fresh);
+    expect_fresh_every_round<Texture1D<T>>(bytes, fresh);
+  }
+}
+
+TEST(Device, NewBuffersReadZeroAfterReuse) { expect_fresh_buffers<float>(0.0f); }
+
+TEST(Device, NewBuffersConstructNonZeroDefaults) {
+  expect_fresh_buffers<Ones>(1.0f);
+}
+
+// ThreadSanitizer's calloc writes every byte it hands out, so its builds
+// cannot keep unwritten pages lazy; every other build keeps the contract.
+#if defined(__SANITIZE_THREAD__)
+#define G80_CALLOC_WRITES_PAGES 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define G80_CALLOC_WRITES_PAGES 1
+#endif
+#endif
+
+#if !defined(G80_CALLOC_WRITES_PAGES)
+// Resident host pages of the page-aligned range covering [p, p + bytes).
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(p) / page * page;
+  const auto end =
+      (reinterpret_cast<std::uintptr_t>(p) + bytes + page - 1) / page * page;
+  std::vector<unsigned char> in_core((end - begin) / page);
+  if (mincore(reinterpret_cast<void*>(begin), end - begin, in_core.data()) != 0) {
+    ADD_FAILURE() << "mincore failed";
+    return 0;
+  }
+  return std::count_if(in_core.begin(), in_core.end(),
+                       [](unsigned char c) { return (c & 1) != 0; });
+}
+
+TEST(Device, UnwrittenDeviceMemoryCostsNoHostPages) {
+  Device dev;
+  auto buf = dev.alloc<float>((64u << 20) / sizeof(float));
+  // At most the allocator's header page, which shares the first page.
+  EXPECT_LE(resident_pages(buf.raw(), buf.bytes()), 1u);
+  const std::vector<float> mib((1u << 20) / sizeof(float), 1.0f);
+  buf.copy_from_host(mib);
+  const std::size_t mib_pages =
+      (1u << 20) / static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t pages = resident_pages(buf.raw(), buf.bytes());
+  EXPECT_GE(pages, mib_pages);
+  EXPECT_LE(pages, mib_pages + 2);
+}
+#endif
 
 TEST(CpuCalibration, PositiveAndCached) {
   const auto& cal = cpu_calibration();
