@@ -43,8 +43,8 @@ double now_seconds() {
 }
 
 struct ScaleKernel {
-  // Out-of-place: sampled blocks execute in both the trace and functional
-  // passes, so kernels must be idempotent at block granularity.
+  // Out-of-place: retries and sanitized launches rerun blocks, so kernels
+  // must be idempotent at block granularity.
   float factor = 1.0f;
   template <class Ctx>
   void operator()(Ctx& ctx, DeviceBuffer<float>& in,

@@ -21,8 +21,11 @@
 # slot) and the arena/analyzer oracles beside them, and the invariant
 # fuzzer, whose pooled launches reuse each slot's fibers across the threads
 # of a block, plus the fiber and block-runner unit tests (exec_test), whose
-# handoff cases cross stacks the way a pooled launch does.  The rest of the
-# sequential suite is covered by check_sanitize.sh.
+# handoff cases cross stacks the way a pooled launch does, and the launch
+# test that counts the context each block runs under
+# (ParallelLaunch.EveryBlockRunsUnderOneContext), whose pooled sweeps skip
+# the traced blocks and rerun dirty or faulted sanitized grids.  The rest of
+# the sequential suite is covered by check_sanitize.sh.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

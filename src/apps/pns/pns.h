@@ -83,7 +83,7 @@ struct PnsKernel {
     // bounds PNS's thread count in Table 3), strided by simulation count so
     // that identical place indices across lanes coalesce.  The kernel
     // (re)initializes its own slice first, which also keeps it idempotent at
-    // block granularity for the two-pass launch.
+    // block granularity when a retry or a sanitized launch reruns it.
     auto slot = [&](int p2) {
       return static_cast<std::size_t>(p2) * num_sims +
              static_cast<std::size_t>(sim);

@@ -18,8 +18,8 @@ struct SaxpyWorkload {
   static SaxpyWorkload generate(std::size_t n, std::uint64_t seed);
 };
 
-// CPU reference: single-thread scalar loop (out-of-place: the simulator's
-// two-pass launch requires block-idempotent kernels, so out = a*x + y).
+// CPU reference: single-thread scalar loop (out-of-place, out = a*x + y:
+// retries and sanitized launches rerun blocks, so they must be idempotent).
 void saxpy_cpu(float a, const std::vector<float>& x,
                const std::vector<float>& y, std::vector<float>& out);
 

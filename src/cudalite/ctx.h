@@ -73,7 +73,7 @@ class GlobalView {
           const std::source_location& loc = std::source_location::current()) {
     // g80check fault injection may deterministically redirect this store out
     // of bounds (FaultInjection::corrupt_global_*), modeling a wild device
-    // pointer; compiled out of normal passes.
+    // pointer; compiled out of other contexts.
     if constexpr (Recorder::kSanitizing) {
       i = ctx_->rec().fault_global_index(i, n_);
     }
@@ -109,7 +109,7 @@ class SharedView {
   void st(std::size_t i, const T& v,
           const std::source_location& loc = std::source_location::current()) {
     // g80check fault injection may deterministically redirect this store
-    // (FaultInjection::corrupt_store_*); compiled out of normal passes.
+    // (FaultInjection::corrupt_store_*); compiled out of other contexts.
     if constexpr (Recorder::kSanitizing) {
       i = ctx_->rec().fault_shared_index(i, n_);
     }
@@ -179,8 +179,6 @@ class TexView {
 template <class Recorder>
 class Ctx {
  public:
-  static constexpr bool kTracing = Recorder::kTracing;
-
   Ctx(BlockEnv* env, int linear_tid, Recorder rec)
       : env_(env), tid_(linear_tid), rec_(rec) {}
 
@@ -201,7 +199,7 @@ class Ctx {
     rec_.count(OpClass::kSync);
     rec_.sync_site(site_id(loc), loc);
     // g80check fault injection may skip this thread's barrier
-    // (FaultInjection::skip_barrier_*); compiled out of normal passes.
+    // (FaultInjection::skip_barrier_*); compiled out of other contexts.
     if constexpr (Recorder::kSanitizing) {
       if (rec_.skip_barrier()) return;
     }

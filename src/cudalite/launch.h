@@ -1,19 +1,24 @@
 // Kernel launching: the cudalite equivalent of kernel<<<grid, block>>>(...).
 //
-// A launch performs (up to) three passes over the same kernel template:
-//   1. a TRACE pass over a small sample of blocks, instrumented, feeding the
-//      occupancy calculator and timing model; each block's trace is
-//      analyzed while it runs (cudalite/trace_collect.h);
-//   2. an optional g80check SANITIZE pass over the whole grid
-//      (LaunchOptions::sanitize.enabled) validating barrier and
-//      shared-memory semantics — see sanitizer/sanitizer.h;
-//   3. a FUNCTIONAL pass over the whole grid, uninstrumented, producing the
-//      kernel's actual results.
-// Sampled blocks execute twice (or more), so kernels must be idempotent at
-// block granularity — true of this entire suite (each block writes a
-// disjoint output region from inputs that the launch does not mutate).
+// A launch runs the same kernel template in two steps:
+//   1. TRACE a small sample of blocks, instrumented, feeding the occupancy
+//      calculator and timing model; each block's trace is analyzed while it
+//      runs (cudalite/trace_collect.h);
+//   2. SWEEP the grid once, each block under the one context a single rule
+//      picks: a g80check SanitizeCtx for every block when sanitizing
+//      (LaunchOptions::sanitize.enabled; see sanitizer/sanitizer.h), else
+//      nothing for a sampled block, whose traced run already did the real
+//      stores, else the uninstrumented FuncCtx when LaunchOptions::
+//      functional is set.
+// As on the G80, every block of a plain launch runs once.  A block runs
+// again only when a g80resil retry reruns the launch, when a sanitized
+// launch also traced it, or when a dirty or faulted sanitized sweep is
+// rerun under FuncCtx so the host never reads its stores.  So kernels must
+// still be idempotent at block granularity — true of this entire suite
+// (each block writes a disjoint output region from inputs that the launch
+// does not mutate).
 //
-// Every pass runs each block through BlockRunner::run, whether or not the
+// Every step runs each block through BlockRunner::run, whether or not the
 // kernel calls __syncthreads: as on the G80, a barrier is just an
 // instruction, and nothing declares it at launch time.  The runner sees for
 // itself which threads park, so a barrier-free block runs on one fiber.
@@ -21,7 +26,7 @@
 // (exec/fiber.h), as the G80 runs every kernel on one thread scheduler.
 //
 // For very large grids (the 4096x4096 matmul of §4) callers disable the
-// functional pass and rely on the trace sample for timing; functional
+// functional runs and rely on the trace sample for timing; functional
 // correctness is established separately at smaller sizes by the test suite.
 //
 // A launch reports through what it returns.  g80prof and g80scope derive
@@ -35,6 +40,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -57,7 +63,7 @@
 
 namespace g80 {
 
-// Ctx instantiation for the g80check sanitize pass.
+// Ctx instantiation for a g80check sanitized sweep.
 using SanitizeCtx = Ctx<SanitizerRecorder>;
 
 struct LaunchOptions {
@@ -66,31 +72,37 @@ struct LaunchOptions {
   // paper's numbers where given and plausible estimates otherwise.
   int regs_per_thread = 10;
   // Number of blocks to trace for the timing model.  0 traces nothing: the
-  // launch runs configuration validation, the functional pass and occupancy
-  // (from the functional pass's shared-memory footprint) only, and
-  // stats.trace / stats.timing stay empty.  Kernel outputs are bit-identical
-  // either way — tracing never touches results by construction.  An armed
-  // g80resil modeled watchdog (resilience.modeled_timeout_s > 0) raises the
-  // count to 1 so it still sees a modeled time.
+  // launch runs configuration validation, the sweep and occupancy (from the
+  // sweep's shared-memory footprint) only, and stats.trace / stats.timing
+  // stay empty.  Kernel outputs are bit-identical either way — a traced
+  // block stores exactly what FuncCtx would.  An armed g80resil modeled
+  // watchdog (resilience.modeled_timeout_s > 0) raises the count to 1 so it
+  // still sees a modeled time.
   int sample_blocks = 4;
-  // Run the functional pass over the full grid.
+  // Run under FuncCtx every block the trace step did not run, producing the
+  // kernel's results.  With false, only the traced blocks (and, when
+  // sanitizing, the sanitized sweep) run.
   bool functional = true;
   // g80check: opt-in barrier-divergence and shared-memory-race validation
-  // (plus deterministic fault injection).  Adds one extra pass over the
-  // grid; launches with `enabled == false` execute exactly the seed paths.
+  // (plus deterministic fault injection).  The sweep then runs every block
+  // under SanitizeCtx instead of FuncCtx, and its stores are the results —
+  // unless the report is dirty or a fault is armed: then a functional
+  // launch reruns the whole grid under FuncCtx.
   SanitizerOptions sanitize;
   // The name the launch's owner reports it under: g80rt labels the timeline
   // span with it and keys the runtime's profiler and scope session by it
   // ("" -> "kernel").  The launch itself never reads it.
   std::string kernel_name;
-  // g80rt block scheduling: run the trace and functional passes' independent
-  // blocks across this pool's workers.  nullptr falls back to the ambient
-  // pool (set_ambient_launch_pool / ScopedLaunchPool), and with neither the
-  // sequential path runs.  Kernel outputs and LaunchStats are bit-identical
-  // either way: each thread running blocks uses its own BlockRunner (fibers
-  // + shared-memory arena, kept across launches) and per-block traces merge
-  // in sample order.  The g80check pass stays sequential — its shadow state
-  // is grid-global.
+  // g80rt block scheduling: run the traced and functional blocks, which are
+  // independent, across this pool's workers.  nullptr falls back to the
+  // ambient pool (set_ambient_launch_pool / ScopedLaunchPool), and with
+  // neither the sequential path runs.  Kernel outputs and LaunchStats are
+  // bit-identical either way: each thread running blocks uses its own
+  // BlockRunner (fibers + shared-memory arena, kept across launches) and
+  // per-block traces merge in sample order.  A sanitized sweep stays
+  // sequential: the shadow memory is reset for every block, but the report
+  // is launch-wide — its dedup set of diagnostics, its max_findings cap and
+  // the block order of its findings.
   WorkerPool* pool = nullptr;
   // g80resil: opt-in watchdog timeouts, retry-with-backoff recovery, and
   // graceful degradation (see resil/policy.h and docs/error-handling.md).
@@ -129,7 +141,7 @@ struct LaunchStats {
   Occupancy occupancy;
   TraceSummary trace;
   KernelTiming timing;
-  // Findings from the g80check pass (empty unless sanitize.enabled).
+  // Findings from the g80check sweep (empty unless sanitize.enabled).
   SanitizerReport sanitizer;
   // g80resil recovery provenance: how many attempts ran, at what fallback
   // level, and whether the launch recovered after transient failures.
@@ -147,7 +159,8 @@ struct LaunchStats {
 namespace detail {
 
 // Evenly spread `n` sample indices over [0, total), always including the
-// first and last block so grid-edge partial warps are represented.
+// first and last block so grid-edge partial warps are represented.  The
+// indices ascend without repeats, so the sweep can binary-search them.
 std::vector<std::uint64_t> pick_sample_blocks(std::uint64_t total, int n);
 
 // The calling thread's BlockRunner for SMs with `smem_capacity` bytes of
@@ -158,7 +171,7 @@ std::vector<std::uint64_t> pick_sample_blocks(std::uint64_t total, int n);
 // run their own slot 1 at the same time on different helper threads.
 BlockRunner& thread_block_runner(std::size_t smem_capacity);
 
-// Runs the blocks of one launch's passes on the borrowed per-thread
+// Runs the blocks of one launch's steps on the borrowed per-thread
 // runners, and keeps per slot the kernel's shared-memory footprint.
 class RunnerSet {
  public:
@@ -174,9 +187,9 @@ class RunnerSet {
   // thread_body(env, tid) runs each of its threads.  Every acquire attaches
   // this launch's cancel token and `observer` (the block's trace collector,
   // the sanitizer, or none): the runner outlives the launch, so whatever a
-  // pass that threw left attached is dropped here.  The footprint is stored
+  // step that threw left attached is dropped here.  The footprint is stored
   // right after the run, while this thread still holds the runner — once
-  // the pass drains, a helper thread may already be running another
+  // the step drains, a helper thread may already be running another
   // stream's kernel on it.
   template <class ThreadBody>
   void run_block(int slot, std::uint64_t b, const ThreadBody& thread_body,
@@ -229,13 +242,13 @@ void for_each_block(WorkerPool* pool, std::uint64_t total, const Body& body,
 namespace detail {
 
 // One attempt of a launch: everything from configuration validation through
-// the functional pass.  `att` carries the g80resil attempt context — the
+// the sweep.  `att` carries the g80resil attempt context — the
 // watchdog's cancellation token (threaded into every between-block and
 // barrier-release cancellation point) and the graceful-degradation level:
 //   level 0  exactly the configuration the caller asked for;
 //   level 1  block parallelism abandoned (sequential blocks on the caller,
 //            sidestepping a starved or wedged worker pool);
-//   level 2  additionally no sanitize pass and a trace sample of at most
+//   level 2  additionally no sanitizing and a trace sample of at most
 //            one block: one when sanitizing was requested or the modeled
 //            watchdog needs a trace, none otherwise — the minimum machinery
 //            that still yields correct kernel outputs.  A caller that
@@ -327,7 +340,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   stats.regs_per_thread = opt.regs_per_thread;
 
   try {
-    // ---- Trace pass ----
+    // ---- Trace the samples ----
     // Each sampled block is traced into its slot's private TraceArena and
     // analyzed (coalescing / bank conflicts / constant broadcast /
     // texture cache) into a self-contained BlockTrace, stored by sample
@@ -374,7 +387,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       // ---- g80resil modeled watchdog ----
       // The paper's display-timeout constraint (§5.1) on the simulated
       // clock: a launch whose modeled device time exceeds the budget is
-      // rejected before the (expensive) sanitize and functional passes run.
+      // rejected before the (expensive) sweep runs.
       // This is deterministic — identical retries fail identically.
       if (modeled_watchdog &&
           stats.timing.seconds > opt.resilience.modeled_timeout_s) {
@@ -387,25 +400,46 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       }
     }
 
-    // ---- g80check sanitize pass ----
-    // Full-grid pass under Ctx<SanitizerRecorder>: shadow memory watches
-    // every shared access, the runner reports every barrier release, and
-    // any configured fault injection perturbs this pass only.  Runs before
-    // the functional pass so an injected corruption cannot leak into
-    // results the host reads (blocks are idempotent; the functional pass
-    // rewrites every output).
+    // ---- The sweep ----
+    // One rule picks the single context each block runs under: SanitizeCtx
+    // for every block when sanitizing, else none for a block in `skip` (a
+    // sample, whose traced run already did the real stores), else FuncCtx.
+    // Blocks are independent (each writes a disjoint output region, see the
+    // header comment), so functional blocks distribute freely across worker
+    // slots; within a block, fiber scheduling is unchanged, so results stay
+    // bit-identical to sequential execution.  A sanitized sweep runs
+    // sequentially on slot 0, as its report is launch-wide (see
+    // LaunchOptions::pool).  Either way the gap between blocks is a
+    // cancellation point.
+    auto sweep = [&](Sanitizer* san, std::span<const std::uint64_t> skip) {
+      detail::for_each_block(
+          san != nullptr ? nullptr : pool, total_blocks,
+          [&](int slot, std::uint64_t b) {
+            if (san != nullptr) {
+              san->begin_block(b);
+              runners.run_block(
+                  slot, b,
+                  [&](BlockEnv& env, int tid) {
+                    SanitizeCtx ctx(&env, tid, SanitizerRecorder(san, tid));
+                    kernel(ctx, args...);
+                  },
+                  san);
+            } else if (!std::binary_search(skip.begin(), skip.end(), b)) {
+              runners.run_block(slot, b, [&](BlockEnv& env, int tid) {
+                FuncCtx ctx(&env, tid, NullRecorder{});
+                kernel(ctx, args...);
+              });
+            }
+          },
+          cancel);
+    };
+
     if (sanitize_enabled) {
+      // Shadow memory watches every shared access, the runner reports every
+      // barrier release, and any configured fault injection perturbs this
+      // sweep only.
       Sanitizer san(opt.sanitize, spec.shared_mem_per_sm);
-      for (std::uint64_t b = 0; b < total_blocks; ++b) {
-        san.begin_block(b);
-        runners.run_block(
-            0, b,
-            [&](BlockEnv& env, int tid) {
-              SanitizeCtx ctx(&env, tid, SanitizerRecorder(&san, tid));
-              kernel(ctx, args...);
-            },
-            &san);
-      }
+      sweep(&san, {});
       stats.sanitizer = san.report();
       if (!stats.sanitizer.clean()) {
         dev.record_status(stats.sanitizer.findings.front().status);
@@ -414,32 +448,24 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
                             stats.sanitizer.summary());
         }
       }
+      // The host must not read the stores of a dirty or faulted sweep: a
+      // functional launch reruns every block, the samples too, under
+      // FuncCtx, which rewrites every output.
+      if (opt.functional &&
+          (!stats.sanitizer.clean() || opt.sanitize.fault.armed())) {
+        sweep(nullptr, {});
+      }
+    } else if (opt.functional) {
+      sweep(nullptr, samples);
     }
 
-    // A pass the launch skipped (fallback level 2) leaves blocks_checked
-    // short of this, so the report is not clean.
+    // A launch that did not sanitize (fallback level 2) leaves
+    // blocks_checked short of this, so the report is not clean.
     if (opt.sanitize.enabled) stats.sanitizer.blocks_requested = total_blocks;
 
-    // ---- Functional pass ----
-    // Grid blocks are independent (each writes a disjoint output region, see
-    // the header comment), so they distribute freely across worker slots;
-    // within a block, fiber scheduling is unchanged, so results stay
-    // bit-identical to sequential execution.
-    if (opt.functional) {
-      detail::for_each_block(
-          pool, total_blocks,
-          [&](int slot, std::uint64_t b) {
-            runners.run_block(slot, b, [&](BlockEnv& env, int tid) {
-              FuncCtx ctx(&env, tid, NullRecorder{});
-              kernel(ctx, args...);
-            });
-          },
-          cancel);
-    }
-
-    // Sample-free launch: no trace pass ran, so take the shared-memory
-    // footprint from the functional pass (the static __shared__ layout is
-    // identical in every pass) and fill in occupancy — the one model output
+    // Sample-free launch: nothing was traced, so take the shared-memory
+    // footprint from the sweep (the static __shared__ layout is identical
+    // under every context) and fill in occupancy — the one model output
     // that needs no trace.  stats.trace/stats.timing stay empty by design.
     if (samples.empty()) {
       stats.smem_per_block = runners.smem_bytes_used();

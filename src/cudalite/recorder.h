@@ -1,8 +1,8 @@
 // Recorder policies for the execution context.
 //
 // The same kernel source runs under two instantiations of Ctx<Recorder>:
-//  - NullRecorder: every hook is an empty inline function; the functional
-//    pass over the full grid runs at native C++ speed.
+//  - NullRecorder: every hook is an empty inline function; the blocks the
+//    sweep runs functionally run at native C++ speed.
 //  - LaneRecorder: records for the timing model (sampled blocks only), all
 //    into the block's TraceArena (trace_arena.h): counts and flops into the
 //    lane's LaneCounts; memory accesses, branch outcomes and barriers into
@@ -22,11 +22,10 @@
 namespace g80 {
 
 // A third instantiation, Ctx<SanitizerRecorder> (sanitizer/recorder.h),
-// drives the g80check pass.  Recorders advertise `kSanitizing` so Ctx can
-// compile the fault-injection hooks out of the other two entirely.
+// drives a g80check sanitized sweep.  Recorders advertise `kSanitizing` so
+// Ctx can compile the fault-injection hooks out of the other two entirely.
 
 struct NullRecorder {
-  static constexpr bool kTracing = false;
   static constexpr bool kSanitizing = false;
 
   void count(OpClass, int = 1) {}
@@ -39,7 +38,6 @@ struct NullRecorder {
 
 class LaneRecorder {
  public:
-  static constexpr bool kTracing = true;
   static constexpr bool kSanitizing = false;
 
   // `lane_id` (thread index in the block) locates this lane's counts and

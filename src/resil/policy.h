@@ -31,7 +31,7 @@
 namespace g80 {
 
 // Highest graceful-degradation level (see AttemptConfig::fallback_level):
-// 0 = as requested, 1 = sequential blocks, 2 = sequential, sanitize pass
+// 0 = as requested, 1 = sequential blocks, 2 = sequential, sanitizing
 // skipped, and a trace sample of one block when sanitizing was requested or
 // the modeled watchdog needs it, none otherwise (see detail::launch_impl).
 inline constexpr int kMaxFallbackLevel = 2;
@@ -43,8 +43,8 @@ struct ResiliencePolicy {
   // attempt (Status::kTimeout) once exceeded.  0 disables the watchdog.
   double wall_timeout_s = 0;
   // Budget on the *modeled* device-side kernel time: a launch whose timing
-  // model predicts more than this raises kTimeout before the sanitize and
-  // functional passes run (the paper's display-watchdog constraint, §5.1).
+  // model predicts more than this raises kTimeout before the sweep over the
+  // grid runs (the paper's display-watchdog constraint, §5.1).
   // 0 disables.  Deterministic — retries fail identically, so pair this
   // with max_retries = 0 unless the test wants to observe retry exhaustion.
   double modeled_timeout_s = 0;

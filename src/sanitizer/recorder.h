@@ -1,6 +1,6 @@
-// Recorder policy that instantiates Ctx for the g80check sanitize pass.
+// Recorder policy that instantiates Ctx for the g80check sanitized sweep.
 //
-// Instruction counting and tracing hooks are empty (the sanitize pass does
+// Instruction counting and tracing hooks are empty (the sanitized sweep does
 // not feed the timing model); shared-memory accesses are forwarded — with
 // their kernel-source locations — into the Sanitizer's shadow memory, and
 // the fault-injection queries are answered from per-thread dynamic counters
@@ -17,7 +17,6 @@ namespace g80 {
 
 class SanitizerRecorder {
  public:
-  static constexpr bool kTracing = false;
   static constexpr bool kSanitizing = true;
 
   SanitizerRecorder(Sanitizer* san, int tid) : san_(san), tid_(tid) {}

@@ -6,14 +6,17 @@
 // unsynchronized shared-memory communication between threads — execute
 // silently in an unchecked simulator and would produce plausible-but-wrong
 // Table 3 numbers for a buggy application port.  When enabled
-// (LaunchOptions::sanitize.enabled), launch() runs one extra pass over the
-// grid with Ctx<SanitizerRecorder>; the recorder feeds shared-memory
-// accesses into shadow memory (shadow.h) and the BlockRunner reports every
-// barrier release through the BarrierObserver hook.  Disabled launches use
-// the unmodified NullRecorder path and pay nothing.
+// (LaunchOptions::sanitize.enabled), launch()'s one sweep over the grid runs
+// every block with Ctx<SanitizerRecorder> instead of the functional
+// NullRecorder; the recorder feeds shared-memory accesses into shadow
+// memory (shadow.h) and the BlockRunner reports every barrier release
+// through the BarrierObserver hook.  A clean sweep's stores are the
+// launch's results; after a dirty one, or one run with a fault armed, a
+// functional launch reruns the grid with the NullRecorder.  Disabled
+// launches never instantiate the sanitizer and pay nothing.
 //
 // Deterministic fault injection (FaultInjection) perturbs a chosen access or
-// skips a chosen barrier in the sanitize pass only, so tests can prove the
+// skips a chosen barrier in the sanitized sweep only, so tests can prove the
 // detectors catch exactly what they claim.
 #pragma once
 
@@ -28,7 +31,7 @@
 
 namespace g80 {
 
-// Deterministic fault injection, applied during the sanitize pass only.
+// Deterministic fault injection, applied during the sanitized sweep only.
 // Indices are per-block dynamic counts: "thread T's n-th shared store" /
 // "thread T's n-th __syncthreads()".
 struct FaultInjection {
@@ -46,17 +49,24 @@ struct FaultInjection {
   // faults this is detectable in any kernel — every kernel in the suite
   // writes global output — so the fault campaign (resil/campaign.h) can
   // exercise all 13 applications.  The OOB store raises
-  // Status::kInvalidAddress from the sanitize pass.
+  // Status::kInvalidAddress from the sanitized sweep.
   int corrupt_global_tid = -1;  // -1 disables
   int corrupt_global_index = 0;
   // Linear block index the faults apply to; -1 applies to every block.
   std::int64_t block = 0;
+
+  // Some fault is configured.  The host never reads the stores of a
+  // sanitized sweep that ran with one (launch.h reruns the grid).
+  bool armed() const {
+    return skip_barrier_tid >= 0 || corrupt_store_tid >= 0 ||
+           corrupt_global_tid >= 0;
+  }
 };
 
 struct SanitizerOptions {
   bool enabled = false;
   // Throw StatusError (after recording the sticky device status) when the
-  // sanitize pass produced findings.  With false, findings are only
+  // sanitized sweep produced findings.  With false, findings are only
   // reported through LaunchStats::sanitizer for host-side inspection.
   bool abort_on_error = true;
   std::size_t max_findings = 16;
@@ -74,13 +84,13 @@ struct SanitizerReport {
   std::uint64_t blocks_checked = 0;
   // Blocks the launch asked g80check to check: the whole grid when
   // sanitize.enabled, else 0.  A degraded launch (g80resil fallback level
-  // 2) skips the pass and checks fewer.
+  // 2) skips the sanitizing and checks fewer.
   std::uint64_t blocks_requested = 0;
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;
   std::uint64_t barriers_checked = 0;
 
-  // No findings, and every requested block was checked: a skipped pass is
+  // No findings, and every requested block was checked: a skipped sweep is
   // not a clean one.
   bool clean() const {
     return findings.empty() && blocks_checked >= blocks_requested;

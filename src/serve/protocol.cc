@@ -166,7 +166,7 @@ JobRequest parse_request(const JsonValue& doc) {
     }
     if (c->get("sample_blocks") != nullptr) {
       // 0 is a valid request: "no modeled timing" — the launch traces no
-      // block and runs only the functional pass (see LaunchOptions).
+      // block and runs only the functional sweep (see LaunchOptions).
       req.config.sample_blocks =
           static_cast<int>(require_int(*c, "sample_blocks", 0, 1024, 4));
     }

@@ -56,8 +56,8 @@ struct StridedKernel {  // scattered loads: thread i reads element 17*i
 };
 
 struct SharedReverseKernel {  // block-wide reverse through shared memory
-  // Out-of-place: sampled blocks execute in both the trace and functional
-  // passes, so kernels must be idempotent at block granularity.
+  // Out-of-place: retries and sanitized launches rerun blocks, so kernels
+  // must be idempotent at block granularity.
   template <class Ctx>
   void operator()(Ctx& ctx, DeviceBuffer<int>& in, DeviceBuffer<int>& out) const {
     auto In = ctx.global(in);
@@ -565,7 +565,7 @@ TEST(LaunchReuse, SanitizedLaunchThatThrowsLeavesNoObserverBehind) {
   Device dev;
   auto out = dev.alloc<int>(128);
   LaunchOptions san;
-  san.sample_blocks = 0;  // the sanitize pass is the first to run blocks
+  san.sample_blocks = 0;  // the sanitized sweep is the first to run blocks
   san.sanitize.enabled = true;
   EXPECT_THROW(
       launch(dev, Dim3(2), Dim3(64), san, ThrowAfterBarrierKernel{}, out),

@@ -1,12 +1,17 @@
 // Block-parallel launch determinism: results and LaunchStats must be
-// bit-identical whether the trace/functional passes run sequentially or
-// across a WorkerPool — the contract that makes g80rt's parallelism safe to
-// enable everywhere.  Also covers the per-block merge of the memory-system
-// analyzers and deterministic error selection under parallel execution.
+// bit-identical whether the traced and functional blocks run sequentially
+// or across a WorkerPool — the contract that makes g80rt's parallelism safe
+// to enable everywhere.  Also covers the per-block merge of the
+// memory-system analyzers, deterministic error selection under parallel
+// execution, and the one context each block of a launch runs under.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -207,6 +212,128 @@ TEST(ParallelLaunch, SuiteBitExactUnderAmbientPool) {
   }
 }
 
+// ---- Every block runs once ---------------------------------------------------
+
+enum CtxKind { kTraced, kSanitized, kFunctional, kNumCtxKinds };
+
+template <class C>
+constexpr CtxKind ctx_kind() {
+  if constexpr (std::is_same_v<C, TraceCtx>) {
+    return kTraced;
+  } else if constexpr (std::is_same_v<C, SanitizeCtx>) {
+    return kSanitized;
+  } else {
+    static_assert(std::is_same_v<C, FuncCtx>);
+    return kFunctional;
+  }
+}
+
+// Reverses each block through shared memory and counts, per block, how
+// often the block ran under each context.  `racy` adds a write-write race
+// on a word the outputs never read, so a dirty sanitize leaves the results
+// well defined.
+struct CountContextsKernel {
+  std::atomic<int>* runs;  // [block][CtxKind]
+  bool racy = false;
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<int>& out) const {
+    auto O = ctx.global(out);
+    const int n = static_cast<int>(ctx.block_dim().x);
+    auto S = ctx.template shared<int>(2 * n);
+    const int t = static_cast<int>(ctx.thread_idx().x);
+    const int b = static_cast<int>(ctx.block_idx().x);
+    if (t == 0) runs[b * kNumCtxKinds + ctx_kind<Ctx>()].fetch_add(1);
+    S.st(t, b * n + t + 1);
+    if (racy) S.st(2 * n - 1, t);
+    ctx.sync();
+    O.st(b * n + t, S.ld(n - 1 - t));
+  }
+};
+
+TEST(ParallelLaunch, EveryBlockRunsUnderOneContext) {
+  constexpr int kBlocks = 8, kThreads = 32, kOut = kBlocks * kThreads;
+  // kFaulted redirects thread 3's first shared store into the unread upper
+  // half in every block: the sweep's outputs are wrong, yet its report is
+  // clean.
+  enum Sanitize { kOff, kClean, kDirty, kFaulted };
+
+  auto run = [&](const LaunchOptions& opt, bool racy,
+                 std::array<std::array<int, kNumCtxKinds>, kBlocks>* counts,
+                 LaunchStats* stats) {
+    std::array<std::atomic<int>, kBlocks * kNumCtxKinds> runs{};
+    Device dev;
+    auto out = dev.alloc<int>(kOut);
+    *stats = launch(dev, Dim3(kBlocks), Dim3(kThreads), opt,
+                    CountContextsKernel{runs.data(), racy}, out);
+    for (int b = 0; b < kBlocks; ++b)
+      for (int k = 0; k < kNumCtxKinds; ++k)
+        (*counts)[b][k] = runs[b * kNumCtxKinds + k].load();
+    return out.copy_to_host();
+  };
+
+  std::array<std::array<int, kNumCtxKinds>, kBlocks> counts{};
+  LaunchStats stats;
+  LaunchOptions ref_opt;
+  ref_opt.sample_blocks = 0;
+  const std::vector<int> want = run(ref_opt, false, &counts, &stats);
+
+  WorkerPool narrow(1), wide(4);
+  for (WorkerPool* pool : {&narrow, &wide}) {
+    for (int samples : {0, 1, 4, kBlocks}) {
+      const auto sampled = detail::pick_sample_blocks(kBlocks, samples);
+      for (bool functional : {true, false}) {
+        for (Sanitize mode : {kOff, kClean, kDirty, kFaulted}) {
+          LaunchOptions opt;
+          opt.pool = pool;
+          opt.sample_blocks = samples;
+          opt.functional = functional;
+          opt.sanitize.enabled = mode != kOff;
+          opt.sanitize.abort_on_error = false;
+          if (mode == kFaulted) {
+            opt.sanitize.fault.corrupt_store_tid = 3;
+            opt.sanitize.fault.corrupt_offset_words = kThreads;
+            opt.sanitize.fault.block = -1;
+          }
+          const std::vector<int> got =
+              run(opt, mode == kDirty, &counts, &stats);
+          const std::string where =
+              "width " + std::to_string(pool->width()) + ", samples " +
+              std::to_string(samples) + ", functional " +
+              std::to_string(functional) + ", sanitize mode " +
+              std::to_string(mode);
+          ASSERT_EQ(stats.sanitizer.clean(), mode != kDirty) << where;
+
+          const bool rerun = functional && (mode == kDirty || mode == kFaulted);
+          for (int b = 0; b < kBlocks; ++b) {
+            const bool traced = std::find(sampled.begin(), sampled.end(),
+                                          b) != sampled.end();
+            EXPECT_EQ(counts[b][kTraced], traced ? 1 : 0) << where;
+            EXPECT_EQ(counts[b][kSanitized], mode != kOff ? 1 : 0) << where;
+            const int func = mode == kOff ? (functional && !traced ? 1 : 0)
+                                          : (rerun ? 1 : 0);
+            EXPECT_EQ(counts[b][kFunctional], func) << where << ", block " << b;
+          }
+          // A sweep whose stores the host may read leaves the outputs of a
+          // sample-free, unsanitized launch.
+          if (functional || mode == kClean) {
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(int)),
+                      0)
+                << where;
+          } else if (mode == kFaulted) {
+            // The fault bites: reading these stores would be wrong.
+            EXPECT_NE(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(int)),
+                      0)
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- Streams sharing a pool --------------------------------------------------
 
 // Stages `words` ints through shared memory, so two instances with different
@@ -236,7 +363,7 @@ TEST(ParallelLaunch, StreamsSharingAPoolKeepTheirSharedFootprints) {
   const rt::Stream sb = r.stream_create();
   auto out_a = dev.alloc<int>(kBlocks * kThreads);
   auto out_b = dev.alloc<int>(kBlocks * kThreads);
-  // Without a trace sample the footprint comes from the functional pass.
+  // Without a trace sample the footprint comes from the sweep.
   for (int samples : {4, 0}) {
     LaunchOptions opt;
     opt.sample_blocks = samples;

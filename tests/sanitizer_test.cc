@@ -227,8 +227,9 @@ TEST(G80Check, AbortOnErrorThrowsStatusErrorWithSummary) {
 }
 
 TEST(G80Check, SanitizedLaunchStillProducesCorrectResults) {
-  // An injected corruption perturbs the sanitize pass only; the functional
-  // pass rewrites every output, so the host still reads correct results.
+  // An injected corruption perturbs the sanitized sweep only; with a fault
+  // armed the launch reruns every block functionally, so the host still
+  // reads correct results.
   Device dev;
   auto out = dev.alloc<int>(128);
   auto opt = sanitized();
